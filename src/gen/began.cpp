@@ -161,7 +161,8 @@ spice::Netlist generate_pdn(const GeneratorConfig& cfg) {
       nm.x = to_dbu(fixed_um);
       nm.y = along;
     }
-    const NodeId id = nl.intern_node(nm.to_string());
+    char spelling[NodeName::kMaxChars];
+    const NodeId id = nl.intern_node(nm.format(spelling));
     slot.emplace(along, id);
     return id;
   };

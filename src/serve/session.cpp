@@ -99,8 +99,8 @@ SessionServer::EntryPtr SessionServer::acquire_entry(
 }
 
 void SessionServer::evict_locked(std::list<EntryPtr>::iterator it,
-                                 bool memory) {
-  EntryPtr entry = *it;
+                                 bool memory, std::vector<EntryPtr>& evicted) {
+  EntryPtr& entry = evicted.emplace_back(std::move(*it));
   entry->resident = false;
   resident_bytes_ -= entry->bytes;
   index_.erase(entry->session_id);
@@ -112,7 +112,7 @@ void SessionServer::evict_locked(std::list<EntryPtr>::iterator it,
   metrics().resident_bytes.set(static_cast<double>(resident_bytes_));
 }
 
-void SessionServer::enforce_budget_locked() {
+void SessionServer::enforce_budget_locked(std::vector<EntryPtr>& evicted) {
   // Walk from the LRU tail, skipping entries whose lock is held by an
   // in-flight request (they stay cached; shared_ptr would keep an evicted
   // entry alive anyway, but evicting active sessions is bad policy).
@@ -122,8 +122,10 @@ void SessionServer::enforce_budget_locked() {
     while (true) {
       std::unique_lock<std::mutex> lock((*it)->mu, std::try_to_lock);
       if (lock.owns_lock()) {
-        lock.unlock();  // bytes/resident are cache_mu_-guarded; mu was
-        evict_locked(it, memory);  // only probed for in-flight activity
+        // bytes/resident are cache_mu_-guarded; mu was only probed for
+        // in-flight activity.
+        lock.unlock();
+        evict_locked(it, memory, evicted);
         return true;
       }
       if (it == lru_.begin()) return false;
@@ -222,20 +224,25 @@ SessionTicket SessionServer::submit(SessionRequest request) {
   ticket.partial_.extract_us = us_since(start);
 
   // --- Re-account this session's footprint and enforce the budgets.  The
-  // current entry's lock is held, so the eviction walk skips it. ---
+  // current entry's lock is held, so the eviction walk skips it, and its
+  // size can be taken before cache_mu_.  Evicted entries are released
+  // after the lock scope: destroying a large netlist, context and tensors
+  // under cache_mu_ would stall every other request on it. ---
+  const std::size_t new_bytes = entry_bytes(*entry);
+  std::vector<EntryPtr> evicted;
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
-    const std::size_t new_bytes = entry_bytes(*entry);
     if (entry->resident) {
       resident_bytes_ -= entry->bytes;
       resident_bytes_ += new_bytes;
     }
     entry->bytes = new_bytes;
-    enforce_budget_locked();
+    enforce_budget_locked(evicted);
     if (resident_bytes_ > peak_resident_bytes_)
       peak_resident_bytes_ = resident_bytes_;
     metrics().resident_bytes.set(static_cast<double>(resident_bytes_));
   }
+  evicted.clear();
 
   // --- Forward whatever deadline budget extraction left over. ---
   PredictRequest inner;
@@ -262,10 +269,11 @@ SessionResult SessionServer::predict(SessionRequest request) {
 }
 
 bool SessionServer::drop_session(const std::string& session_id) {
+  EntryPtr entry;  // released after the lock, like evictions
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto found = index_.find(session_id);
   if (found == index_.end()) return false;
-  EntryPtr entry = *found->second;
+  entry = std::move(*found->second);
   entry->resident = false;
   resident_bytes_ -= entry->bytes;
   lru_.erase(found->second);

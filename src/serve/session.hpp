@@ -206,8 +206,11 @@ class SessionServer {
   /// Under cache_mu_: find-or-create + move to MRU front.
   EntryPtr acquire_entry(const std::string& session_id, bool& hit);
   /// Under cache_mu_: evict from the LRU tail until both bounds hold.
-  void enforce_budget_locked();
-  void evict_locked(std::list<EntryPtr>::iterator it, bool memory);
+  /// Evicted entries move to `evicted`, for the caller to release once
+  /// cache_mu_ is dropped.
+  void enforce_budget_locked(std::vector<EntryPtr>& evicted);
+  void evict_locked(std::list<EntryPtr>::iterator it, bool memory,
+                    std::vector<EntryPtr>& evicted);
 
   std::shared_ptr<models::IrModel> model_;
   SessionServeOptions opts_;

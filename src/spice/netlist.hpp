@@ -5,12 +5,16 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "spice/node_name.hpp"
 
 namespace lmmir::spice {
+
+namespace detail {
+class SpiceReader;  // the parser (spice/parser.cpp): builds in bulk
+}
 
 enum class ElementType { Resistor, CurrentSource, VoltageSource };
 
@@ -27,9 +31,9 @@ struct Element {
 };
 
 /// Interned node: parsed coordinates when the name follows the contest
-/// grammar, or just the raw name for free-form nodes.
+/// grammar.  The spelling lives in the netlist's name arena
+/// (Netlist::node_name).
 struct Node {
-  std::string raw_name;
   std::optional<NodeName> parsed;  // nullopt for free-form names
 };
 
@@ -42,19 +46,24 @@ class Netlist {
   /// content, across distinct Netlist objects (copies carry the revision
   /// of the snapshot they were taken from; mutating a copy re-stamps it).
   /// Caches keyed on the revision (feat::FeatureContext) can therefore
-  /// skip re-validating a netlist they have already seen.
+  /// skip re-validating a netlist they have already seen.  A parse stamps
+  /// once, when it completes, rather than once per element.
   std::uint64_t revision() const { return revision_; }
 
   /// Intern a node by raw name; returns kGroundNode for "0".
-  NodeId intern_node(const std::string& raw_name);
+  NodeId intern_node(std::string_view raw_name);
 
   /// Look up an interned node id; returns nullopt if never interned.
-  std::optional<NodeId> find_node(const std::string& raw_name) const;
+  std::optional<NodeId> find_node(std::string_view raw_name) const;
 
-  void add_resistor(const std::string& name, NodeId a, NodeId b, double ohms);
-  void add_current_source(const std::string& name, NodeId from, NodeId to,
+  /// Spelling of an interned node (a view into the name arena, valid until
+  /// the next node is interned).  Throws std::out_of_range.
+  std::string_view node_name(NodeId id) const;
+
+  void add_resistor(std::string_view name, NodeId a, NodeId b, double ohms);
+  void add_current_source(std::string_view name, NodeId from, NodeId to,
                           double amps);
-  void add_voltage_source(const std::string& name, NodeId plus, NodeId minus,
+  void add_voltage_source(std::string_view name, NodeId plus, NodeId minus,
                           double volts);
 
   /// Replace an element's value (PDN optimization: wire upsizing rewrites
@@ -86,17 +95,45 @@ class Netlist {
   };
   PixelShape pixel_shape() const;
 
-  /// Estimated heap footprint of this netlist (elements, interned nodes,
-  /// name strings, index buckets).  An accounting estimate for cache
-  /// memory budgets (serve::SessionServer), not an allocator-exact count.
+  /// Heap footprint of this netlist, O(1): the capacities of every buffer
+  /// it owns (elements and their out-of-line names, nodes, name arena,
+  /// name offsets, node index) plus the object itself.  Never less than
+  /// what is allocated, so cache memory budgets (serve::SessionServer)
+  /// cannot under-count.
   std::size_t resident_bytes() const;
 
  private:
+  friend class detail::SpiceReader;
+
+  /// One open-addressing slot of the node index: `id` < 0 marks it empty;
+  /// `tag` is the high half of the name's hash, checked before the names.
+  struct IndexSlot {
+    std::uint32_t tag = 0;
+    NodeId id = -1;
+  };
+
   void touch();  // stamp a fresh process-unique revision
+  /// Size every buffer for a text of `lines` lines, ahead of a parse.
+  void reserve_for_lines(std::size_t lines);
+  /// Hash of a node name, with the index slot its lookup starts at
+  /// requested into cache: the parser issues this for both endpoints of a
+  /// line, then parses the value while the slots load.
+  std::uint64_t prefetch_node(std::string_view raw_name) const;
+  /// intern_node / add_* without the revision stamp; `hash` is
+  /// prefetch_node's result for `raw_name`.
+  NodeId intern(std::string_view raw_name, std::uint64_t hash);
+  void append(ElementType type, std::string_view name, NodeId a, NodeId b,
+              double value);
+  /// Slot holding `raw_name`, or the empty slot where it would go.
+  std::size_t probe(std::string_view raw_name, std::uint64_t hash) const;
+  void grow_index(std::size_t slots);
 
   std::vector<Element> elements_;
+  std::size_t element_name_heap_bytes_ = 0;  // out-of-line Element::name
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, NodeId> node_index_;
+  std::vector<char> names_;             // every node spelling, back to back
+  std::vector<std::size_t> name_ends_;  // node i spans [end(i-1), end(i))
+  std::vector<IndexSlot> index_;        // power-of-two size, load <= 1/2
   std::uint64_t revision_ = 0;  // 0 = pristine empty netlist
 };
 

@@ -6,6 +6,7 @@
 // The ground node is the literal "0".
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace lmmir::spice {
 
@@ -18,16 +19,22 @@ struct NodeName {
   std::int64_t x = 0;   // DBU
   std::int64_t y = 0;   // DBU
 
+  /// Longest spelling format() can produce ("n" int "_m" int "_" int64
+  /// "_" int64, signs included).
+  static constexpr std::size_t kMaxChars = 1 + 11 + 2 + 11 + 1 + 20 + 1 + 20;
+
+  /// Spell the name into `buf` without allocating; the view aliases `buf`.
+  std::string_view format(char (&buf)[kMaxChars]) const;
   std::string to_string() const;
 
   bool operator==(const NodeName&) const = default;
 };
 
 /// True for the ground node spelling "0".
-bool is_ground(const std::string& name);
+inline bool is_ground(std::string_view name) { return name == "0"; }
 
 /// Parse "n<net>_m<layer>_<x>_<y>". Returns false (and leaves `out`
 /// unspecified) when the string is not a well-formed node name.
-bool parse_node_name(const std::string& name, NodeName& out);
+bool parse_node_name(std::string_view name, NodeName& out);
 
 }  // namespace lmmir::spice

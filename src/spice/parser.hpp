@@ -9,8 +9,15 @@
 // ".title", ".end", ".op" (all ignored).  Element letters are
 // case-insensitive; values accept SPICE engineering suffixes
 // (f p n u m k meg g t) and plain scientific notation.
+//
+// The parser makes one pass over the text in place: tokens are views into
+// it, values go through std::from_chars, and node names are interned into
+// the netlist's name arena.  A parse allocates only the netlist's buffers
+// (sized from the line count) and element names too long for
+// std::string's inline storage.
 #include <istream>
 #include <string>
+#include <string_view>
 
 #include "spice/netlist.hpp"
 
@@ -25,14 +32,15 @@ struct ParseStats {
 
 /// Parse a numeric literal with optional SPICE engineering suffix.
 /// Returns false on malformed input.
-bool parse_spice_value(const std::string& token, double& out);
+bool parse_spice_value(std::string_view token, double& out);
 
 /// Parse netlist text. Throws std::runtime_error with a line number on
 /// malformed element lines.
-Netlist parse_netlist_string(const std::string& text,
+Netlist parse_netlist_string(std::string_view text,
                              ParseStats* stats = nullptr);
 
-/// Parse from a stream / file.
+/// Parse from a stream / file: reads the whole input, then parses it as
+/// parse_netlist_string does.
 Netlist parse_netlist_stream(std::istream& in, ParseStats* stats = nullptr);
 Netlist parse_netlist_file(const std::string& path,
                            ParseStats* stats = nullptr);

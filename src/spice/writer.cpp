@@ -17,9 +17,9 @@ char type_letter(ElementType t) {
   return '?';
 }
 
-std::string node_spelling(const Netlist& nl, NodeId id) {
+std::string_view node_spelling(const Netlist& nl, NodeId id) {
   if (id == kGroundNode) return "0";
-  return nl.node(id).raw_name;
+  return nl.node_name(id);
 }
 }  // namespace
 

@@ -152,7 +152,7 @@ TEST(Image, ColorizeRejectsSizeMismatch) {
 TEST(Stopwatch, MeasuresElapsed) {
   Stopwatch w;
   volatile double sink = 0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(w.seconds(), 0.0);
   EXPECT_GE(w.milliseconds(), w.seconds());
 }
