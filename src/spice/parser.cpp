@@ -1,6 +1,7 @@
 #include "spice/parser.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
@@ -53,8 +54,10 @@ bool parse_spice_value(std::string_view token, double& out) {
   else if (iequals(suffix, "t")) mult = 1e12;
   else return false;
 
+  // A suffix can push a finite literal past DBL_MAX (1e308k); inf is no
+  // value the writer could spell back, so it fails like any bad literal.
   out = base * mult;
-  return true;
+  return std::isfinite(out);
 }
 
 namespace detail {

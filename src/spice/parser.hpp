@@ -31,7 +31,8 @@ struct ParseStats {
 };
 
 /// Parse a numeric literal with optional SPICE engineering suffix.
-/// Returns false on malformed input.
+/// Returns false on malformed input and on a non-finite result (a suffix
+/// that overflows the literal, e.g. "1e308k").
 bool parse_spice_value(std::string_view token, double& out);
 
 /// Parse netlist text. Throws std::runtime_error with a line number on

@@ -56,6 +56,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "runtime/thread_pool.hpp"
@@ -238,6 +239,10 @@ class ScratchBuffer {
  public:
   explicit ScratchBuffer(std::size_t n);
   ~ScratchBuffer();
+  /// Moves keep the arena pairing (so buffers can live in a container).
+  ScratchBuffer(ScratchBuffer&& other) noexcept
+      : arena_(std::exchange(other.arena_, nullptr)),
+        buf_(std::move(other.buf_)) {}
   ScratchBuffer(const ScratchBuffer&) = delete;
   ScratchBuffer& operator=(const ScratchBuffer&) = delete;
 

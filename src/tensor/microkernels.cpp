@@ -107,25 +107,41 @@ void gemm_acc(const float* a, const float* b, float* c, std::size_t m,
 void im2col(const float* x, std::size_t cin, std::size_t h, std::size_t w,
             std::size_t kh, std::size_t kw, std::size_t oh, std::size_t ow,
             int stride, int pad_h, int pad_w, float* col) {
-  const std::size_t patch = cin * kh * kw;
   const std::size_t cols = oh * ow;
-  std::fill(col, col + patch * cols, 0.0f);
-  for (std::size_t c = 0; c < cin; ++c) {
-    for (std::size_t ki = 0; ki < kh; ++ki) {
-      for (std::size_t kj = 0; kj < kw; ++kj) {
-        const std::size_t prow = (c * kh + ki) * kw + kj;
+  const long s = stride;
+  for (std::size_t kj = 0; kj < kw; ++kj) {
+    // Output columns [ox_lo, ox_hi) read input column ox*s + off inside
+    // [0, w); the rest of each row is zero padding.
+    const long off = static_cast<long>(kj) - pad_w;
+    const long first = off >= 0 ? 0 : (-off + s - 1) / s;
+    const long last = static_cast<long>(w) - 1 - off;  // max ox*s
+    const std::size_t ox_lo =
+        std::min(ow, static_cast<std::size_t>(std::max(0L, first)));
+    const std::size_t ox_hi =
+        last < 0 ? ox_lo
+                 : std::clamp(static_cast<std::size_t>(last / s + 1), ox_lo,
+                              ow);
+    for (std::size_t c = 0; c < cin; ++c) {
+      for (std::size_t ki = 0; ki < kh; ++ki) {
+        float* dst = col + ((c * kh + ki) * kw + kj) * cols;
         for (std::size_t oy = 0; oy < oh; ++oy) {
+          float* drow = dst + oy * ow;
           const long iy =
-              static_cast<long>(oy) * stride - pad_h + static_cast<long>(ki);
-          if (iy < 0 || iy >= static_cast<long>(h)) continue;
-          for (std::size_t ox = 0; ox < ow; ++ox) {
-            const long ix =
-                static_cast<long>(ox) * stride - pad_w + static_cast<long>(kj);
-            if (ix < 0 || ix >= static_cast<long>(w)) continue;
-            col[prow * cols + oy * ow + ox] =
-                x[(c * h + static_cast<std::size_t>(iy)) * w +
-                  static_cast<std::size_t>(ix)];
+              static_cast<long>(oy) * s - pad_h + static_cast<long>(ki);
+          if (iy < 0 || iy >= static_cast<long>(h)) {
+            std::fill_n(drow, ow, 0.0f);
+            continue;
           }
+          const float* xrow = x + (c * h + static_cast<std::size_t>(iy)) * w;
+          std::fill_n(drow, ox_lo, 0.0f);
+          if (s == 1) {
+            std::copy_n(xrow + (static_cast<long>(ox_lo) + off), ox_hi - ox_lo,
+                        drow + ox_lo);
+          } else {
+            for (std::size_t ox = ox_lo; ox < ox_hi; ++ox)
+              drow[ox] = xrow[static_cast<long>(ox) * s + off];
+          }
+          std::fill_n(drow + ox_hi, ow - ox_hi, 0.0f);
         }
       }
     }

@@ -2,8 +2,9 @@
 // CPU microkernels for the matmul/conv inner loops.
 //
 // The plan executor (tensor/plan.hpp) replays recorded forwards through
-// these kernels instead of the header-inline ophelp loops.  Two variants
-// exist for the accumulating GEMM:
+// these kernels instead of the header-inline ophelp loops, and the eager
+// conv2d forward runs the same GEMM.  Two variants exist for the
+// accumulating GEMM:
 //
 //   * gemm_acc_scalar — the reference: the exact loop nest of
 //     ophelp::gemm_acc (ikj order, zero-row skip);

@@ -13,9 +13,16 @@ namespace lmmir::tensor {
 using detail::make_node;
 using detail::needs_grad;
 using ophelp::attach;
-using ophelp::gemm_a_bt_acc;
-using ophelp::gemm_acc;
+using mk::gemm_acc;  // AVX2 when available; bitwise equal to the scalar loop
+using ophelp::gemm_a_bt_acc_pretransposed;
 using ophelp::gemm_at_b_acc;
+
+// Threading of the conv kernels (docs/TENSOR.md, "Parallel conv
+// kernels"): every fan-out below splits a range of disjoint outputs —
+// output rows, weight columns, input-gradient planes, bias entries — and
+// each output element sees exactly the arithmetic, in exactly the order,
+// of the serial loop nest, so results are bitwise identical at any
+// thread count.
 
 namespace {
 
@@ -24,7 +31,20 @@ struct ConvGeom {
   std::size_t cout, kh, kw;      // kernel
   std::size_t oh, ow;            // output
   int stride, pad_h, pad_w;
+
+  std::size_t taps() const { return kh * kw; }
+  std::size_t patch() const { return cin * kh * kw; }
+  std::size_t spatial() const { return oh * ow; }
 };
+
+/// One pooled scratch buffer of `size` floats per sample of a group.
+std::vector<ScratchBuffer> per_sample_scratch(std::size_t samples,
+                                              std::size_t size) {
+  std::vector<ScratchBuffer> bufs;
+  bufs.reserve(samples);
+  for (std::size_t s = 0; s < samples; ++s) bufs.emplace_back(size);
+  return bufs;
+}
 
 /// col[cin*kh*kw, oh*ow] for one sample (zero-padded borders).  The
 /// patch gather itself lives in tensor/microkernels.hpp so the plan
@@ -34,26 +54,200 @@ void im2col(const float* x, const ConvGeom& g, float* col) {
              g.pad_w, col);
 }
 
-/// Scatter col gradients back onto the (padded) input. Inverse of im2col.
-void col2im_acc(const float* col, const ConvGeom& g, float* gx) {
-  const std::size_t cols = g.oh * g.ow;
-  for (std::size_t c = 0; c < g.cin; ++c) {
-    for (std::size_t ki = 0; ki < g.kh; ++ki) {
-      for (std::size_t kj = 0; kj < g.kw; ++kj) {
-        const std::size_t prow = (c * g.kh + ki) * g.kw + kj;
-        for (std::size_t oy = 0; oy < g.oh; ++oy) {
-          const long iy = static_cast<long>(oy) * g.stride - g.pad_h +
-                          static_cast<long>(ki);
-          if (iy < 0 || iy >= static_cast<long>(g.h)) continue;
-          for (std::size_t ox = 0; ox < g.ow; ++ox) {
-            const long ix = static_cast<long>(ox) * g.stride - g.pad_w +
-                            static_cast<long>(kj);
-            if (ix < 0 || ix >= static_cast<long>(g.w)) continue;
-            gx[(c * g.h + static_cast<std::size_t>(iy)) * g.w +
-               static_cast<std::size_t>(ix)] +=
-                col[prow * cols + oy * g.ow + ox];
+/// Rows [j_lo, j_hi) of colᵀ[oh*ow, cin*kh*kw] for one sample: output
+/// pixel j's receptive field, zero-padded, as one contiguous row.
+void im2row(const float* x, const ConvGeom& g, std::size_t j_lo,
+            std::size_t j_hi, float* rows) {
+  const std::size_t patch = g.patch();
+  for (std::size_t j = j_lo; j < j_hi; ++j) {
+    const long y0 = static_cast<long>(j / g.ow) * g.stride - g.pad_h;
+    const long x0 = static_cast<long>(j % g.ow) * g.stride - g.pad_w;
+    float* dst = rows + j * patch;
+    for (std::size_t c = 0; c < g.cin; ++c) {
+      for (std::size_t ki = 0; ki < g.kh; ++ki) {
+        const long iy = y0 + static_cast<long>(ki);
+        if (iy < 0 || iy >= static_cast<long>(g.h)) {
+          dst = std::fill_n(dst, g.kw, 0.0f);
+          continue;
+        }
+        const float* xrow = x + (c * g.h + static_cast<std::size_t>(iy)) * g.w;
+        for (std::size_t kj = 0; kj < g.kw; ++kj) {
+          const long ix = x0 + static_cast<long>(kj);
+          *dst++ = ix >= 0 && ix < static_cast<long>(g.w)
+                       ? xrow[static_cast<std::size_t>(ix)]
+                       : 0.0f;
+        }
+      }
+    }
+  }
+}
+
+/// Scatter one input channel's col gradients (taps rows) back onto its
+/// (padded) input plane: the inverse of that channel's share of im2col.
+void col2im_plane_acc(const float* dcol, const ConvGeom& g, float* gx) {
+  const std::size_t cols = g.spatial();
+  for (std::size_t ki = 0; ki < g.kh; ++ki) {
+    for (std::size_t kj = 0; kj < g.kw; ++kj) {
+      const float* drow = dcol + (ki * g.kw + kj) * cols;
+      for (std::size_t oy = 0; oy < g.oh; ++oy) {
+        const long iy = static_cast<long>(oy) * g.stride - g.pad_h +
+                        static_cast<long>(ki);
+        if (iy < 0 || iy >= static_cast<long>(g.h)) continue;
+        for (std::size_t ox = 0; ox < g.ow; ++ox) {
+          const long ix = static_cast<long>(ox) * g.stride - g.pad_w +
+                          static_cast<long>(kj);
+          if (ix < 0 || ix >= static_cast<long>(g.w)) continue;
+          gx[static_cast<std::size_t>(iy) * g.w +
+             static_cast<std::size_t>(ix)] += drow[oy * g.ow + ox];
+        }
+      }
+    }
+  }
+}
+
+/// dW[cout, patch] += Σ_ni dY_ni[cout, spatial] · col_niᵀ.  Per group of
+/// samples: im2row over (sample, pixel) rows, then the weight columns fan
+/// out with the sample loop inside each task, so every dW element still
+/// takes one accumulator per sample, samples ascending.  A group holds at
+/// most one sample per thread, which bounds the im2row scratch.
+void conv2d_weight_grad(const float* x, const float* gy, const ConvGeom& g,
+                        float* dw) {
+  const std::size_t patch = g.patch();
+  const std::size_t spatial = g.spatial();
+  const std::size_t group = std::min(g.n, runtime::global_threads());
+  std::vector<ScratchBuffer> rows = per_sample_scratch(group, spatial * patch);
+  for (std::size_t n0 = 0; n0 < g.n; n0 += group) {
+    const std::size_t gn = std::min(group, g.n - n0);
+    runtime::parallel_for(
+        0, gn * spatial, runtime::grain_for_cost(patch),
+        [&](std::size_t lo, std::size_t hi) {
+          while (lo < hi) {  // the chunk may straddle samples
+            const std::size_t s = lo / spatial;
+            const std::size_t j_lo = lo % spatial;
+            const std::size_t j_hi = std::min(spatial, j_lo + (hi - lo));
+            im2row(x + (n0 + s) * g.cin * g.h * g.w, g, j_lo, j_hi,
+                   rows[s].data());
+            lo += j_hi - j_lo;
+          }
+        });
+    // At least 8 columns per task keeps the accumulator row vectorized.
+    const std::size_t col_grain = std::max<std::size_t>(
+        8, runtime::grain_for_cost(gn * g.cout * spatial));
+    runtime::parallel_for(
+        0, patch, col_grain,
+        [&](std::size_t k_lo, std::size_t k_hi) {
+          for (std::size_t s = 0; s < gn; ++s)
+            gemm_a_bt_acc_pretransposed(gy + (n0 + s) * g.cout * spatial,
+                                        rows[s].data(), dw, g.cout, spatial,
+                                        patch, k_lo, k_hi);
+        });
+  }
+}
+
+/// dX += col2im(Wᵀ · dY), one (sample, input channel) plane per task: the
+/// plane's taps rows of dcol are computed into a private zeroed buffer in
+/// the full gemm's cout order, then scattered onto the disjoint gx plane.
+void conv2d_input_grad(const float* w, const float* gy, const ConvGeom& g,
+                       float* dx) {
+  const std::size_t taps = g.taps();
+  const std::size_t spatial = g.spatial();
+  runtime::parallel_for(
+      0, g.n * g.cin, runtime::grain_for_cost(g.cout * taps * spatial),
+      [&](std::size_t lo, std::size_t hi) {
+        ScratchBuffer dcol(taps * spatial);
+        for (std::size_t r = lo; r < hi; ++r) {
+          const std::size_t ni = r / g.cin;
+          const std::size_t c = r % g.cin;
+          if (r != lo) std::fill_n(dcol.data(), dcol.size(), 0.0f);
+          // dcol[taps, spatial] = W[cout, c's taps]ᵀ · dY_ni[cout, spatial]
+          gemm_at_b_acc(w + c * taps, gy + ni * g.cout * spatial, dcol.data(),
+                        g.cout, taps, spatial, g.patch());
+          col2im_plane_acc(dcol.data(), g, dx + r * g.h * g.w);
+        }
+      });
+}
+
+/// db[c] += Σ_i dY[ni, c, i] for each sample in turn, channels fanned out.
+void bias_grad(const float* gy, std::size_t n, std::size_t channels,
+               std::size_t plane, float* db) {
+  runtime::parallel_for(
+      0, channels, runtime::grain_for_cost(n * plane),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t c = lo; c < hi; ++c)
+          for (std::size_t ni = 0; ni < n; ++ni) {
+            const float* row = gy + (ni * channels + c) * plane;
+            float acc = 0.0f;
+            for (std::size_t i = 0; i < plane; ++i) acc += row[i];
+            db[c] += acc;
+          }
+      });
+}
+
+/// Output plane `co` of one sample of conv_transpose2d: every input pixel
+/// adds its kernel-weighted footprint, in (ci, hy, hx, ki, kj) order.
+void conv_transpose_plane(const float* x, const float* w, const ConvGeom& g,
+                          std::size_t co, float* yout) {
+  const long stride = g.stride;
+  const long pad = g.pad_h;
+  for (std::size_t ci = 0; ci < g.cin; ++ci) {
+    const float* xin = x + ci * g.h * g.w;
+    const float* wk = w + ((ci * g.cout + co) * g.kh) * g.kw;
+    for (std::size_t hy = 0; hy < g.h; ++hy) {
+      for (std::size_t hx = 0; hx < g.w; ++hx) {
+        const float xv = xin[hy * g.w + hx];
+        if (xv == 0.0f) continue;
+        for (std::size_t ki = 0; ki < g.kh; ++ki) {
+          const long oy = static_cast<long>(hy) * stride +
+                          static_cast<long>(ki) - pad;
+          if (oy < 0 || oy >= static_cast<long>(g.oh)) continue;
+          for (std::size_t kj = 0; kj < g.kw; ++kj) {
+            const long ox = static_cast<long>(hx) * stride +
+                            static_cast<long>(kj) - pad;
+            if (ox < 0 || ox >= static_cast<long>(g.ow)) continue;
+            yout[static_cast<std::size_t>(oy) * g.ow +
+                 static_cast<std::size_t>(ox)] += xv * wk[ki * g.kw + kj];
           }
         }
+      }
+    }
+  }
+}
+
+/// conv_transpose2d backward for input channel ci over every sample:
+/// gx planes (ni, ci) and gw rows [ci, ·, ·, ·] (either may be null), with
+/// the serial loop nest's (ni, hy, hx, co, ki, kj) accumulation order.
+void conv_transpose_channel_grad(const float* x, const float* w,
+                                 const float* gy_all, const ConvGeom& g,
+                                 std::size_t ci, float* gx_all, float* gw_all) {
+  const long stride = g.stride;
+  const long pad = g.pad_h;
+  for (std::size_t ni = 0; ni < g.n; ++ni) {
+    const float* xin = x + (ni * g.cin + ci) * g.h * g.w;
+    float* gx = gx_all ? gx_all + (ni * g.cin + ci) * g.h * g.w : nullptr;
+    for (std::size_t hy = 0; hy < g.h; ++hy) {
+      for (std::size_t hx = 0; hx < g.w; ++hx) {
+        float gx_acc = 0.0f;
+        for (std::size_t co = 0; co < g.cout; ++co) {
+          const float* wk = w + ((ci * g.cout + co) * g.kh) * g.kw;
+          float* gw =
+              gw_all ? gw_all + ((ci * g.cout + co) * g.kh) * g.kw : nullptr;
+          const float* gy = gy_all + (ni * g.cout + co) * g.oh * g.ow;
+          for (std::size_t ki = 0; ki < g.kh; ++ki) {
+            const long oy = static_cast<long>(hy) * stride +
+                            static_cast<long>(ki) - pad;
+            if (oy < 0 || oy >= static_cast<long>(g.oh)) continue;
+            for (std::size_t kj = 0; kj < g.kw; ++kj) {
+              const long ox = static_cast<long>(hx) * stride +
+                              static_cast<long>(kj) - pad;
+              if (ox < 0 || ox >= static_cast<long>(g.ow)) continue;
+              const float gyv = gy[static_cast<std::size_t>(oy) * g.ow +
+                                   static_cast<std::size_t>(ox)];
+              gx_acc += gyv * wk[ki * g.kw + kj];
+              if (gw) gw[ki * g.kw + kj] += gyv * xin[hy * g.w + hx];
+            }
+          }
+        }
+        if (gx) gx[hy * g.w + hx] += gx_acc;
       }
     }
   }
@@ -106,39 +300,61 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
                       static_cast<std::size_t>(b.dim(0)) != g.cout))
     throw std::invalid_argument("conv2d: bias shape mismatch");
 
-  const std::size_t patch = g.cin * g.kh * g.kw;
-  const std::size_t spatial = g.oh * g.ow;
+  const std::size_t patch = g.patch();
+  const std::size_t spatial = g.spatial();
   std::vector<float> y = arena_buffer(g.n * g.cout * spatial);
-  // Samples are independent (each chunk keeps a private im2col buffer and
-  // writes its own output planes), so the batch fans out over the pool.
-  // For a single-sample batch (the serving latency path) the outer loop
-  // cannot use the pool at all; only then does the gemm fan out over cout
-  // row blocks — otherwise the inner level runs inline so the caller's
-  // chunk never blocks behind other samples' queued work.
-  runtime::ThreadPool* inner_pool = g.n == 1 ? runtime::global_pool() : nullptr;
-  runtime::parallel_for(
-      0, g.n, runtime::grain_for_cost(patch * spatial * g.cout),
-      [&](std::size_t lo, std::size_t hi) {
-        // Pooled on the executing thread's arena (dispatcher or pool
-        // worker); im2col overwrites the whole buffer.
-        ScratchBuffer col(patch * spatial);
-        for (std::size_t ni = lo; ni < hi; ++ni) {
-          im2col(x.data().data() + ni * g.cin * g.h * g.w, g, col.data());
-          runtime::parallel_for(
-              inner_pool, 0, g.cout, runtime::grain_for_cost(patch * spatial),
-              [&](std::size_t c_lo, std::size_t c_hi) {
-                gemm_acc(w.data().data() + c_lo * patch, col.data(),
-                         y.data() + (ni * g.cout + c_lo) * spatial,
-                         c_hi - c_lo, patch, spatial);
-                if (b.defined())
-                  for (std::size_t c = c_lo; c < c_hi; ++c) {
-                    float* dst = y.data() + (ni * g.cout + c) * spatial;
-                    const float bv = b.data()[c];
-                    for (std::size_t i = 0; i < spatial; ++i) dst[i] += bv;
-                  }
-              });
-        }
-      });
+  // Out-channel rows [c_lo, c_hi) of sample ni from its im2col matrix:
+  // gemm_acc's per-row kk order, then the bias add.
+  auto gemm_rows = [&](std::size_t ni, std::size_t c_lo, std::size_t c_hi,
+                       const float* col) {
+    float* yrows = y.data() + (ni * g.cout + c_lo) * spatial;
+    gemm_acc(w.data().data() + c_lo * patch, col, yrows, c_hi - c_lo, patch,
+             spatial);
+    if (b.defined())
+      for (std::size_t c = c_lo; c < c_hi; ++c) {
+        float* dst = yrows + (c - c_lo) * spatial;
+        const float bv = b.data()[c];
+        for (std::size_t i = 0; i < spatial; ++i) dst[i] += bv;
+      }
+  };
+  if (g.n >= runtime::global_threads()) {
+    // Enough samples for every thread: samples fan out, and each task
+    // gathers its samples' im2col into a private pooled buffer — one join,
+    // and the gemm reads a col its own thread just wrote.
+    runtime::parallel_for(
+        0, g.n, runtime::grain_for_cost(patch * spatial * g.cout),
+        [&](std::size_t lo, std::size_t hi) {
+          ScratchBuffer col(patch * spatial);
+          for (std::size_t ni = lo; ni < hi; ++ni) {
+            im2col(x.data().data() + ni * g.cin * g.h * g.w, g, col.data());
+            gemm_rows(ni, 0, g.cout, col.data());
+          }
+        });
+  } else {
+    // Fewer samples than threads (n = 1 serving, n = 2 training): each
+    // sample's im2col goes to its own pooled buffer (inline at n = 1, as
+    // im2col is a fast copy), then the gemm fans out over flat (sample,
+    // out-channel) rows.
+    std::vector<ScratchBuffer> cols = per_sample_scratch(g.n, patch * spatial);
+    runtime::parallel_for(
+        0, g.n, runtime::grain_for_cost(patch * spatial),
+        [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t ni = lo; ni < hi; ++ni)
+            im2col(x.data().data() + ni * g.cin * g.h * g.w, g,
+                   cols[ni].data());
+        });
+    runtime::parallel_for(
+        0, g.n * g.cout, runtime::grain_for_cost(patch * spatial),
+        [&](std::size_t lo, std::size_t hi) {
+          while (lo < hi) {
+            const std::size_t ni = lo / g.cout;
+            const std::size_t c_lo = lo % g.cout;
+            const std::size_t c_hi = std::min(g.cout, c_lo + hi - lo);
+            gemm_rows(ni, c_lo, c_hi, cols[ni].data());
+            lo += c_hi - c_lo;
+          }
+        });
+  }
   auto out = make_node(Shape{static_cast<int>(g.n), static_cast<int>(g.cout),
                              static_cast<int>(g.oh), static_cast<int>(g.ow)},
                        std::move(y));
@@ -150,37 +366,19 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
   if (needs_grad({&x, &w, &b})) {
     attach(out, {x, w, b},
            [self = out.get(), px = x.impl(), pw = w.impl(),
-            pb = b.defined() ? b.impl() : nullptr, g, patch, spatial]() {
-             std::vector<float> col(patch * spatial);
-             std::vector<float> dcol(patch * spatial);
-             for (std::size_t ni = 0; ni < g.n; ++ni) {
-               const float* gy = self->grad.data() + ni * g.cout * spatial;
-               // Recompute the im2col matrix from the saved input.
-               im2col(px->data.data() + ni * g.cin * g.h * g.w, g, col.data());
-               if (pw->requires_grad) {
-                 pw->ensure_grad();
-                 // dW[cout,patch] += dY[cout,spatial] * col[patch,spatial]ᵀ
-                 gemm_a_bt_acc(gy, col.data(), pw->grad.data(), g.cout,
-                               spatial, patch);
-               }
-               if (px->requires_grad) {
-                 px->ensure_grad();
-                 std::fill(dcol.begin(), dcol.end(), 0.0f);
-                 // dcol[patch,spatial] = W[cout,patch]ᵀ * dY[cout,spatial]
-                 gemm_at_b_acc(pw->data.data(), gy, dcol.data(), g.cout,
-                               patch, spatial);
-                 col2im_acc(dcol.data(), g,
-                            px->grad.data() + ni * g.cin * g.h * g.w);
-               }
-               if (pb && pb->requires_grad) {
-                 pb->ensure_grad();
-                 for (std::size_t c = 0; c < g.cout; ++c) {
-                   float acc = 0.0f;
-                   for (std::size_t i = 0; i < spatial; ++i)
-                     acc += gy[c * spatial + i];
-                   pb->grad[c] += acc;
-                 }
-               }
+            pb = b.defined() ? b.impl() : nullptr, g]() {
+             const float* gy = self->grad.data();
+             if (pw->requires_grad) {
+               pw->ensure_grad();
+               conv2d_weight_grad(px->data.data(), gy, g, pw->grad.data());
+             }
+             if (px->requires_grad) {
+               px->ensure_grad();
+               conv2d_input_grad(pw->data.data(), gy, g, px->grad.data());
+             }
+             if (pb && pb->requires_grad) {
+               pb->ensure_grad();
+               bias_grad(gy, g.n, g.cout, g.spatial(), pb->grad.data());
              }
            });
   }
@@ -217,53 +415,17 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
                     b.data()[c]);
 
   // Scatter: each input pixel adds its kernel-weighted footprint.  Output
-  // planes are disjoint per (sample, out-channel), so the batch fans out
-  // over the pool; only a single-sample batch (n=1 serving) fans the
-  // out-channel loop out instead (see conv2d above).  Per-element
-  // accumulation order is (ci, hy, hx, ki, kj) in both the serial and the
-  // parallel nesting, keeping results bitwise identical.
-  runtime::ThreadPool* inner_pool = g.n == 1 ? runtime::global_pool() : nullptr;
+  // planes are disjoint per (sample, out-channel), so one flat range over
+  // those planes fans out at any batch size.  Each plane accumulates in
+  // (ci, hy, hx, ki, kj) order, as the serial loop nest does.
   runtime::parallel_for(
-      0, g.n,
-      runtime::grain_for_cost(g.cin * g.h * g.w * g.cout * g.kh * g.kw),
-      [&](std::size_t n_lo, std::size_t n_hi) {
-        for (std::size_t ni = n_lo; ni < n_hi; ++ni) {
-          runtime::parallel_for(
-              inner_pool, 0, g.cout,
-              runtime::grain_for_cost(g.cin * g.h * g.w * g.kh * g.kw),
-              [&, ni](std::size_t co_lo, std::size_t co_hi) {
-                for (std::size_t co = co_lo; co < co_hi; ++co) {
-                  float* yout = y.data() + (ni * g.cout + co) * g.oh * g.ow;
-                  for (std::size_t ci = 0; ci < g.cin; ++ci) {
-                    const float* xin =
-                        x.data().data() + (ni * g.cin + ci) * g.h * g.w;
-                    const float* wk =
-                        w.data().data() + ((ci * g.cout + co) * g.kh) * g.kw;
-                    for (std::size_t hy = 0; hy < g.h; ++hy) {
-                      for (std::size_t hx = 0; hx < g.w; ++hx) {
-                        const float xv = xin[hy * g.w + hx];
-                        if (xv == 0.0f) continue;
-                        for (std::size_t ki = 0; ki < g.kh; ++ki) {
-                          const long oy = static_cast<long>(hy) * stride +
-                                          static_cast<long>(ki) - padding;
-                          if (oy < 0 || oy >= static_cast<long>(g.oh))
-                            continue;
-                          for (std::size_t kj = 0; kj < g.kw; ++kj) {
-                            const long ox = static_cast<long>(hx) * stride +
-                                            static_cast<long>(kj) - padding;
-                            if (ox < 0 || ox >= static_cast<long>(g.ow))
-                              continue;
-                            yout[static_cast<std::size_t>(oy) * g.ow +
-                                 static_cast<std::size_t>(ox)] +=
-                                xv * wk[ki * g.kw + kj];
-                          }
-                        }
-                      }
-                    }
-                  }
-                }
-              });
-        }
+      0, g.n * g.cout,
+      runtime::grain_for_cost(g.cin * g.h * g.w * g.kh * g.kw),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t r = lo; r < hi; ++r)
+          conv_transpose_plane(
+              x.data().data() + (r / g.cout) * g.cin * g.h * g.w,
+              w.data().data(), g, r % g.cout, y.data() + r * g.oh * g.ow);
       });
   auto out = make_node(Shape{static_cast<int>(g.n), static_cast<int>(g.cout),
                              static_cast<int>(g.oh), static_cast<int>(g.ow)},
@@ -271,63 +433,28 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
   plan::record_op(plan::OpKind::kConvTranspose2d, out, {&x, &w, &b},
                   {.i0 = stride, .i1 = padding, .i3 = b.defined() ? 1 : 0});
   if (needs_grad({&x, &w, &b})) {
-    const int s = stride;
-    const int p = padding;
     attach(out, {x, w, b},
            [self = out.get(), px = x.impl(), pw = w.impl(),
-            pb = b.defined() ? b.impl() : nullptr, g, s, p]() {
+            pb = b.defined() ? b.impl() : nullptr, g]() {
              if (px->requires_grad) px->ensure_grad();
              if (pw->requires_grad) pw->ensure_grad();
-             for (std::size_t ni = 0; ni < g.n; ++ni) {
-               for (std::size_t ci = 0; ci < g.cin; ++ci) {
-                 const float* xin =
-                     px->data.data() + (ni * g.cin + ci) * g.h * g.w;
-                 float* gx = px->requires_grad
-                                 ? px->grad.data() + (ni * g.cin + ci) * g.h * g.w
-                                 : nullptr;
-                 for (std::size_t hy = 0; hy < g.h; ++hy) {
-                   for (std::size_t hx = 0; hx < g.w; ++hx) {
-                     float gx_acc = 0.0f;
-                     for (std::size_t co = 0; co < g.cout; ++co) {
-                       const float* wk =
-                           pw->data.data() + ((ci * g.cout + co) * g.kh) * g.kw;
-                       float* gw =
-                           pw->requires_grad
-                               ? pw->grad.data() + ((ci * g.cout + co) * g.kh) * g.kw
-                               : nullptr;
-                       const float* gy =
-                           self->grad.data() + (ni * g.cout + co) * g.oh * g.ow;
-                       for (std::size_t ki = 0; ki < g.kh; ++ki) {
-                         const long oy = static_cast<long>(hy) * s +
-                                         static_cast<long>(ki) - p;
-                         if (oy < 0 || oy >= static_cast<long>(g.oh)) continue;
-                         for (std::size_t kj = 0; kj < g.kw; ++kj) {
-                           const long ox = static_cast<long>(hx) * s +
-                                           static_cast<long>(kj) - p;
-                           if (ox < 0 || ox >= static_cast<long>(g.ow)) continue;
-                           const float gyv =
-                               gy[static_cast<std::size_t>(oy) * g.ow +
-                                  static_cast<std::size_t>(ox)];
-                           gx_acc += gyv * wk[ki * g.kw + kj];
-                           if (gw)
-                             gw[ki * g.kw + kj] += gyv * xin[hy * g.w + hx];
-                         }
-                       }
-                     }
-                     if (gx) gx[hy * g.w + hx] += gx_acc;
-                   }
-                 }
-               }
-               if (pb && pb->requires_grad) {
-                 pb->ensure_grad();
-                 for (std::size_t co = 0; co < g.cout; ++co) {
-                   const float* gy =
-                       self->grad.data() + (ni * g.cout + co) * g.oh * g.ow;
-                   float acc = 0.0f;
-                   for (std::size_t i = 0; i < g.oh * g.ow; ++i) acc += gy[i];
-                   pb->grad[co] += acc;
-                 }
-               }
+             // Input channels fan out with the sample loop inside: task ci
+             // owns gx planes (·, ci) and gw rows [ci, ·, ·, ·], and each
+             // gw element accumulates in (ni, hy, hx) order as serially.
+             runtime::parallel_for(
+                 0, g.cin,
+                 runtime::grain_for_cost(g.n * g.h * g.w * g.cout * g.taps()),
+                 [&](std::size_t ci_lo, std::size_t ci_hi) {
+                   for (std::size_t ci = ci_lo; ci < ci_hi; ++ci)
+                     conv_transpose_channel_grad(
+                         px->data.data(), pw->data.data(), self->grad.data(), g,
+                         ci, px->requires_grad ? px->grad.data() : nullptr,
+                         pw->requires_grad ? pw->grad.data() : nullptr);
+                 });
+             if (pb && pb->requires_grad) {
+               pb->ensure_grad();
+               bias_grad(self->grad.data(), g.n, g.cout, g.oh * g.ow,
+                         pb->grad.data());
              }
            });
   }

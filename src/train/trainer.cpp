@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "nn/optim.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "tensor/ops.hpp"
 #include "util/log.hpp"
 #include "util/stopwatch.hpp"
@@ -39,6 +41,10 @@ float run_epoch(models::IrModel& model, data::BatchProvider& provider,
     const Tensor input =
         data::slice_channels(batch.circuit, model.in_channels());
 
+    // One span per phase, each closed by the next emplace (a disabled
+    // span costs one relaxed flag check).
+    std::optional<obs::Span> phase;
+    phase.emplace("train.forward");
     opt.zero_grad();
     const Tensor pred = model.forward(input, batch.tokens);
     const Tensor target = make_target(batch);
@@ -60,9 +66,12 @@ float run_epoch(models::IrModel& model, data::BatchProvider& provider,
     } else {
       loss = tensor::mse_loss(pred, target);
     }
+    phase.emplace("train.backward");
     loss.backward();
+    phase.emplace("train.optimizer");
     nn::clip_grad_norm(opt.params(), config.clip_norm);
     opt.step();
+    phase.reset();
 
     loss_sum += loss.item();
     ++batches;

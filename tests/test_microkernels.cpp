@@ -172,6 +172,9 @@ TEST(Microkernel, Im2colMatchesReference) {
       {3, 7, 7, 3, 3, 2, 1, 1},   // strided
       {1, 4, 4, 2, 2, 3, 0, 0},   // stride > kernel (skipped pixels)
       {2, 5, 3, 3, 2, 1, 2, 0},   // asymmetric pad, rectangular kernel
+      {1, 3, 2, 3, 5, 1, 1, 2},   // kernel wider than the input
+      {2, 2, 2, 1, 1, 1, 2, 2},   // whole rows and columns of padding
+      {1, 9, 8, 7, 7, 3, 3, 3},   // 7x7 stem geometry, strided
   };
   for (const auto& c : cases) {
     const std::size_t oh =

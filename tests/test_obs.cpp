@@ -16,12 +16,15 @@
 #include <string>
 #include <vector>
 
+#include "data/loader.hpp"
 #include "data/sample.hpp"
 #include "gen/suite.hpp"
+#include "models/lmmir_model.hpp"
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_pool.hpp"
+#include "train/trainer.hpp"
 
 namespace {
 
@@ -301,6 +304,66 @@ TEST(ObsDeterminism, MetricsAndTracePerturbNothingAtAnyThreadCount) {
   obs::set_trace_enabled(false);
   obs::clear_trace();
   runtime::set_global_threads(1);
+}
+
+/// Losses of a small two-stage fit followed by its final weights.
+std::vector<float> fit_trajectory(const data::Dataset& ds) {
+  models::LmmirConfig mc;
+  mc.base_channels = 4;
+  mc.levels = 2;
+  mc.token_dim = 16;
+  mc.lnt_blocks = 1;
+  models::LMMIR model(mc);
+  train::TrainConfig cfg;
+  cfg.pretrain_epochs = 1;
+  cfg.finetune_epochs = 1;
+  cfg.batch_size = 2;
+  cfg.seed = 5;
+  const train::TrainHistory hist = train::fit(model, ds, cfg);
+  std::vector<float> out = hist.pretrain_loss;
+  out.insert(out.end(), hist.finetune_loss.begin(), hist.finetune_loss.end());
+  for (const tensor::Tensor& p : model.parameters())
+    out.insert(out.end(), p.data().begin(), p.data().end());
+  return out;
+}
+
+TEST(ObsDeterminism, TracedFitMatchesUntracedFit) {
+  data::DatasetOptions opts;
+  opts.sample.input_side = 16;
+  opts.sample.pc_grid = 4;
+  opts.fake_cases = 2;
+  opts.real_cases = 1;
+  opts.suite_scale = 0.04;
+  opts.seed = 17;
+  const data::Dataset ds = data::build_training_dataset(opts);
+  const std::size_t saved_threads = runtime::global_threads();
+  runtime::set_global_threads(3);
+
+  obs::set_metrics_enabled(false);
+  obs::set_trace_enabled(false);
+  const std::vector<float> plain = fit_trajectory(ds);
+
+  obs::set_metrics_enabled(true);
+  obs::set_trace_enabled(true);
+  obs::clear_trace();
+  const std::vector<float> traced = fit_trajectory(ds);
+  obs::set_trace_enabled(false);
+  obs::set_metrics_enabled(false);
+  runtime::set_global_threads(saved_threads);
+
+  EXPECT_EQ(plain, traced) << "tracing changed the fit";  // bitwise
+  const std::string path = testing::TempDir() + "lmmir_test_fit_trace.json";
+  ASSERT_TRUE(obs::write_trace(path));
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  for (const char* name :
+       {"train.forward", "train.backward", "train.optimizer"})
+    EXPECT_NE(ss.str().find(std::string("\"name\":\"") + name + "\""),
+              std::string::npos)
+        << name;
+  obs::clear_trace();
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // spice: node-name grammar, value suffixes, parser, writer round trip.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -108,6 +109,14 @@ TEST(SpiceValueNegative, RejectsGarbage) {
   EXPECT_FALSE(parse_spice_value("k", v));
 }
 
+TEST(SpiceValueNegative, RejectsSuffixOverflow) {
+  double v;
+  EXPECT_FALSE(parse_spice_value("1e308k", v));  // 1e311: past DBL_MAX
+  EXPECT_FALSE(parse_spice_value("-1e307meg", v));
+  EXPECT_TRUE(parse_spice_value("1e305k", v));  // 1e308 still fits
+  EXPECT_TRUE(std::isfinite(v));
+}
+
 TEST(Parser, ParsesBasicNetlist) {
   const std::string text = R"(* tiny PDN
 R1 n1_m1_0_0 n1_m1_1000_0 0.5
@@ -173,6 +182,21 @@ TEST(Writer, RoundTripPreservesEverything) {
     EXPECT_DOUBLE_EQ(back.elements()[i].value, nl.elements()[i].value);
   }
   EXPECT_EQ(back.node_count(), nl.node_count());
+}
+
+TEST(Writer, RoundTripsTheLargestSuffixedValues) {
+  // 1e305k is 1e308, just below DBL_MAX; 1e307k would be 1e310, which the
+  // parser rejects rather than reading as inf that the writer cannot spell.
+  const Netlist nl = parse_netlist_string(
+      "R1 n1_0_0 n1_1_0 1e305k\nI1 n1_1_0 0 1.7e305k\n");
+  const Netlist back = parse_netlist_string(write_netlist_string(nl, "big"));
+  ASSERT_EQ(back.element_count(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(std::isfinite(back.elements()[i].value));
+    EXPECT_EQ(back.elements()[i].value, nl.elements()[i].value);
+  }
+  EXPECT_THROW(parse_netlist_string("R1 n1_0_0 n1_1_0 1e307k\n"),
+               std::runtime_error);
 }
 
 TEST(Writer, GeneratedSuiteRoundTripsStructurally) {
@@ -390,6 +414,8 @@ TEST(Parser, RejectPathsReportTextAndLine) {
             "spice parse error at line 2: bad value 'xyz'");
   EXPECT_EQ(parse_error("R1 a b 1.5q"),
             "spice parse error at line 1: bad value '1.5q'");
+  EXPECT_EQ(parse_error("R0 n1_0_0 n1_1_0 1\nR1 n1_0_0 n1_1_0 1e308k\n"),
+            "spice parse error at line 2: bad value '1e308k'");
   EXPECT_EQ(parse_error("V1 a 0 1\nr2 a b -2\n"),
             "spice parse error at line 2: non-positive resistance");
   EXPECT_EQ(parse_error("R1 a b 0\n"),
