@@ -37,13 +37,20 @@ struct ConvGeom {
   std::size_t spatial() const { return oh * ow; }
 };
 
-/// One pooled scratch buffer of `size` floats per sample of a group.
-std::vector<ScratchBuffer> per_sample_scratch(std::size_t samples,
-                                              std::size_t size) {
-  std::vector<ScratchBuffer> bufs;
-  bufs.reserve(samples);
-  for (std::size_t s = 0; s < samples; ++s) bufs.emplace_back(size);
-  return bufs;
+using SampleBuffers = std::vector<ScratchBuffer>;
+
+/// Walk samples [0, n) in groups of at most one sample per pool thread,
+/// calling fn(n0, gn, bufs) for samples [n0, n0 + gn) in order.  bufs
+/// holds one pooled scratch buffer of `size` floats per sample of a
+/// group, which bounds scratch at one buffer per thread.
+template <typename Fn>
+void for_each_sample_group(std::size_t n, std::size_t size, Fn&& fn) {
+  const std::size_t group = std::min(n, runtime::global_threads());
+  SampleBuffers bufs;
+  bufs.reserve(group);
+  for (std::size_t s = 0; s < group; ++s) bufs.emplace_back(size);
+  for (std::size_t n0 = 0; n0 < n; n0 += group)
+    fn(n0, std::min(group, n - n0), bufs);
 }
 
 /// col[cin*kh*kw, oh*ow] for one sample (zero-padded borders).  The
@@ -108,40 +115,38 @@ void col2im_plane_acc(const float* dcol, const ConvGeom& g, float* gx) {
 /// dW[cout, patch] += Σ_ni dY_ni[cout, spatial] · col_niᵀ.  Per group of
 /// samples: im2row over (sample, pixel) rows, then the weight columns fan
 /// out with the sample loop inside each task, so every dW element still
-/// takes one accumulator per sample, samples ascending.  A group holds at
-/// most one sample per thread, which bounds the im2row scratch.
+/// takes one accumulator per sample, samples ascending.
 void conv2d_weight_grad(const float* x, const float* gy, const ConvGeom& g,
                         float* dw) {
   const std::size_t patch = g.patch();
   const std::size_t spatial = g.spatial();
-  const std::size_t group = std::min(g.n, runtime::global_threads());
-  std::vector<ScratchBuffer> rows = per_sample_scratch(group, spatial * patch);
-  for (std::size_t n0 = 0; n0 < g.n; n0 += group) {
-    const std::size_t gn = std::min(group, g.n - n0);
-    runtime::parallel_for(
-        0, gn * spatial, runtime::grain_for_cost(patch),
-        [&](std::size_t lo, std::size_t hi) {
-          while (lo < hi) {  // the chunk may straddle samples
-            const std::size_t s = lo / spatial;
-            const std::size_t j_lo = lo % spatial;
-            const std::size_t j_hi = std::min(spatial, j_lo + (hi - lo));
-            im2row(x + (n0 + s) * g.cin * g.h * g.w, g, j_lo, j_hi,
-                   rows[s].data());
-            lo += j_hi - j_lo;
-          }
-        });
-    // At least 8 columns per task keeps the accumulator row vectorized.
-    const std::size_t col_grain = std::max<std::size_t>(
-        8, runtime::grain_for_cost(gn * g.cout * spatial));
-    runtime::parallel_for(
-        0, patch, col_grain,
-        [&](std::size_t k_lo, std::size_t k_hi) {
-          for (std::size_t s = 0; s < gn; ++s)
-            gemm_a_bt_acc_pretransposed(gy + (n0 + s) * g.cout * spatial,
-                                        rows[s].data(), dw, g.cout, spatial,
-                                        patch, k_lo, k_hi);
-        });
-  }
+  for_each_sample_group(
+      g.n, spatial * patch,
+      [&](std::size_t n0, std::size_t gn, SampleBuffers& rows) {
+        runtime::parallel_for(
+            0, gn * spatial, runtime::grain_for_cost(patch),
+            [&](std::size_t lo, std::size_t hi) {
+              while (lo < hi) {  // the chunk may straddle samples
+                const std::size_t s = lo / spatial;
+                const std::size_t j_lo = lo % spatial;
+                const std::size_t j_hi = std::min(spatial, j_lo + (hi - lo));
+                im2row(x + (n0 + s) * g.cin * g.h * g.w, g, j_lo, j_hi,
+                       rows[s].data());
+                lo += j_hi - j_lo;
+              }
+            });
+        // At least 8 columns per task keeps the accumulator row vectorized.
+        const std::size_t col_grain = std::max<std::size_t>(
+            8, runtime::grain_for_cost(gn * g.cout * spatial));
+        runtime::parallel_for(
+            0, patch, col_grain,
+            [&](std::size_t k_lo, std::size_t k_hi) {
+              for (std::size_t s = 0; s < gn; ++s)
+                gemm_a_bt_acc_pretransposed(gy + (n0 + s) * g.cout * spatial,
+                                            rows[s].data(), dw, g.cout, spatial,
+                                            patch, k_lo, k_hi);
+            });
+      });
 }
 
 /// dX += col2im(Wᵀ · dY), one (sample, input channel) plane per task: the
@@ -317,44 +322,32 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor& b, int stride,
         for (std::size_t i = 0; i < spatial; ++i) dst[i] += bv;
       }
   };
-  if (g.n >= runtime::global_threads()) {
-    // Enough samples for every thread: samples fan out, and each task
-    // gathers its samples' im2col into a private pooled buffer — one join,
-    // and the gemm reads a col its own thread just wrote.
-    runtime::parallel_for(
-        0, g.n, runtime::grain_for_cost(patch * spatial * g.cout),
-        [&](std::size_t lo, std::size_t hi) {
-          ScratchBuffer col(patch * spatial);
-          for (std::size_t ni = lo; ni < hi; ++ni) {
-            im2col(x.data().data() + ni * g.cin * g.h * g.w, g, col.data());
-            gemm_rows(ni, 0, g.cout, col.data());
-          }
-        });
-  } else {
-    // Fewer samples than threads (n = 1 serving, n = 2 training): each
-    // sample's im2col goes to its own pooled buffer (inline at n = 1, as
-    // im2col is a fast copy), then the gemm fans out over flat (sample,
-    // out-channel) rows.
-    std::vector<ScratchBuffer> cols = per_sample_scratch(g.n, patch * spatial);
-    runtime::parallel_for(
-        0, g.n, runtime::grain_for_cost(patch * spatial),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t ni = lo; ni < hi; ++ni)
-            im2col(x.data().data() + ni * g.cin * g.h * g.w, g,
-                   cols[ni].data());
-        });
-    runtime::parallel_for(
-        0, g.n * g.cout, runtime::grain_for_cost(patch * spatial),
-        [&](std::size_t lo, std::size_t hi) {
-          while (lo < hi) {
-            const std::size_t ni = lo / g.cout;
-            const std::size_t c_lo = lo % g.cout;
-            const std::size_t c_hi = std::min(g.cout, c_lo + hi - lo);
-            gemm_rows(ni, c_lo, c_hi, cols[ni].data());
-            lo += c_hi - c_lo;
-          }
-        });
-  }
+  // Per group of samples: each sample's im2col goes to its own pooled
+  // buffer (inline at n = 1, as im2col is a fast copy), then the gemm fans
+  // out over flat (sample, out-channel) rows, so n = 2 training reaches
+  // every thread and n = 1 runs the serial kernel's im2col then gemm.
+  for_each_sample_group(
+      g.n, patch * spatial,
+      [&](std::size_t n0, std::size_t gn, SampleBuffers& cols) {
+        runtime::parallel_for(
+            0, gn, runtime::grain_for_cost(patch * spatial),
+            [&](std::size_t lo, std::size_t hi) {
+              for (std::size_t s = lo; s < hi; ++s)
+                im2col(x.data().data() + (n0 + s) * g.cin * g.h * g.w, g,
+                       cols[s].data());
+            });
+        runtime::parallel_for(
+            0, gn * g.cout, runtime::grain_for_cost(patch * spatial),
+            [&](std::size_t lo, std::size_t hi) {
+              while (lo < hi) {
+                const std::size_t s = lo / g.cout;
+                const std::size_t c_lo = lo % g.cout;
+                const std::size_t c_hi = std::min(g.cout, c_lo + hi - lo);
+                gemm_rows(n0 + s, c_lo, c_hi, cols[s].data());
+                lo += c_hi - c_lo;
+              }
+            });
+      });
   auto out = make_node(Shape{static_cast<int>(g.n), static_cast<int>(g.cout),
                              static_cast<int>(g.oh), static_cast<int>(g.ow)},
                        std::move(y));
@@ -441,16 +434,20 @@ Tensor conv_transpose2d(const Tensor& x, const Tensor& w, const Tensor& b,
              // Input channels fan out with the sample loop inside: task ci
              // owns gx planes (·, ci) and gw rows [ci, ·, ·, ·], and each
              // gw element accumulates in (ni, hy, hx) order as serially.
-             runtime::parallel_for(
-                 0, g.cin,
-                 runtime::grain_for_cost(g.n * g.h * g.w * g.cout * g.taps()),
-                 [&](std::size_t ci_lo, std::size_t ci_hi) {
-                   for (std::size_t ci = ci_lo; ci < ci_hi; ++ci)
-                     conv_transpose_channel_grad(
-                         px->data.data(), pw->data.data(), self->grad.data(), g,
-                         ci, px->requires_grad ? px->grad.data() : nullptr,
-                         pw->requires_grad ? pw->grad.data() : nullptr);
-                 });
+             if (px->requires_grad || pw->requires_grad) {
+               float* gx = px->requires_grad ? px->grad.data() : nullptr;
+               float* gw = pw->requires_grad ? pw->grad.data() : nullptr;
+               runtime::parallel_for(
+                   0, g.cin,
+                   runtime::grain_for_cost(g.n * g.h * g.w * g.cout *
+                                           g.taps()),
+                   [&](std::size_t ci_lo, std::size_t ci_hi) {
+                     for (std::size_t ci = ci_lo; ci < ci_hi; ++ci)
+                       conv_transpose_channel_grad(
+                           px->data.data(), pw->data.data(),
+                           self->grad.data(), g, ci, gx, gw);
+                   });
+             }
              if (pb && pb->requires_grad) {
                pb->ensure_grad();
                bias_grad(self->grad.data(), g.n, g.cout, g.oh * g.ow,

@@ -2,10 +2,12 @@
 // (y, dX, dW, db) with a 1-thread and a 4-thread pool are bitwise equal to
 // the serial loop nests they replaced (kept below as references), over
 // batch sizes 1-5, kernels 1/3/7, strided and rectangular geometries and
-// the LMM-IR training shapes.  Every case also checks that
-// the 4-thread run really fanned out (the pool ran tasks), since
-// grain_for_cost keeps small shapes serial.  The accumulator-row GEMM the
-// dW path uses is checked against the dot-product form it replaced.
+// the LMM-IR training shapes.  Every case also checks that the 4-thread
+// forward, the backward, and the dX and dW kernels each alone really
+// fanned out (the pool ran tasks), since grain_for_cost keeps small shapes
+// serial; the bias gradient is checked alone on training shapes.  The
+// accumulator-row GEMM the dW path uses is checked against the
+// dot-product form it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -124,20 +126,54 @@ struct ConvInputs {
   std::vector<float> x, w, b, dy;
 };
 
-/// One forward + backward through the op under test, with upstream
-/// gradient dY (sum(y .* dY) has exactly dY as y's gradient).
-ConvResult run_conv(const ConvCase& c, bool transpose, const ConvInputs& in) {
+std::uint64_t pool_tasks() {
+  return obs::counter("lmmir_pool_tasks_total").value();
+}
+
+/// Runs `phase` on a fresh pool of `threads` threads and returns how many
+/// tasks that pool ran.  The last pool task bumps the counter just after
+/// releasing its latch; shrinking the pool back to one thread joins every
+/// worker, so the count is final.  Metrics must be enabled.
+template <typename Phase>
+std::uint64_t pool_tasks_during(std::size_t threads, Phase&& phase) {
+  runtime::set_global_threads(threads);
+  const std::uint64_t before = pool_tasks();
+  phase();
+  runtime::set_global_threads(1);
+  return pool_tasks() - before;
+}
+
+/// Which operands require grad, so each gradient kernel can run alone.
+struct Grads {
+  bool x = true, w = true, b = true;
+};
+
+struct ConvRun {
+  ConvResult r;  // gradients of operands that require none stay empty
+  std::uint64_t forward_tasks = 0, backward_tasks = 0;
+};
+
+/// One forward + backward through the op under test on a `threads`-thread
+/// pool, with upstream gradient dY (sum(y .* dY) has exactly dY as y's
+/// gradient), counting the pool tasks of each direction separately.
+ConvRun run_conv(const ConvCase& c, bool transpose, const ConvInputs& in,
+                 std::size_t threads, Grads grads = {}) {
   const Shape ws = transpose ? Shape{c.cin, c.cout, c.kh, c.kw}
                              : Shape{c.cout, c.cin, c.kh, c.kw};
-  Tensor x = Tensor::from_data({c.n, c.cin, c.h, c.w}, in.x, true);
-  Tensor w = Tensor::from_data(ws, in.w, true);
-  Tensor b = Tensor::from_data({c.cout}, in.b, true);
-  const Tensor y = transpose
-                       ? tensor::conv_transpose2d(x, w, b, c.stride, c.pad_h)
-                       : tensor::conv2d(x, w, b, c.stride, c.pad_h, c.pad_w);
-  const Tensor dy = Tensor::from_data(y.shape(), in.dy);
-  tensor::sum_all(tensor::mul(y, dy)).backward();
-  return {y.data(), x.grad(), w.grad(), b.grad()};
+  Tensor x = Tensor::from_data({c.n, c.cin, c.h, c.w}, in.x, grads.x);
+  Tensor w = Tensor::from_data(ws, in.w, grads.w);
+  Tensor b = Tensor::from_data({c.cout}, in.b, grads.b);
+  ConvRun run;
+  Tensor y;
+  run.forward_tasks = pool_tasks_during(threads, [&] {
+    y = transpose ? tensor::conv_transpose2d(x, w, b, c.stride, c.pad_h)
+                  : tensor::conv2d(x, w, b, c.stride, c.pad_h, c.pad_w);
+  });
+  Tensor loss =
+      tensor::sum_all(tensor::mul(y, Tensor::from_data(y.shape(), in.dy)));
+  run.backward_tasks = pool_tasks_during(threads, [&] { loss.backward(); });
+  run.r = {y.data(), x.grad(), w.grad(), b.grad()};
+  return run;
 }
 
 /// The serial conv2d these kernels replaced, loop nest for loop nest:
@@ -279,35 +315,48 @@ void expect_same(const ConvResult& got, const ConvResult& want,
   EXPECT_EQ(got.db, want.db) << what << ": db";
 }
 
-std::uint64_t pool_tasks() {
-  return obs::counter("lmmir_pool_tasks_total").value();
-}
+/// Restores the pool size and the metrics switch on scope exit, and turns
+/// metrics on so pool tasks are counted.
+class TaskCountingScope {
+ public:
+  TaskCountingScope()
+      : threads_(runtime::global_threads()), metrics_(obs::metrics_enabled()) {
+    obs::set_metrics_enabled(true);
+  }
+  ~TaskCountingScope() {
+    obs::set_metrics_enabled(metrics_);
+    runtime::set_global_threads(threads_);
+  }
 
-/// The op at pool size 1 and 4 against the serial reference, bitwise; the
-/// 4-thread run must also have handed tasks to the pool.
+ private:
+  std::size_t threads_;
+  bool metrics_;
+};
+
+/// The op at pool size 1 and 4 against the serial reference, bitwise.  In
+/// the 4-thread run the forward and the backward must each have handed
+/// tasks to the pool, and so must the dX and the dW kernel when each runs
+/// alone (only that operand requires grad).
 void expect_bitwise_at_1_and_4_threads(const ConvCase& c, bool transpose) {
   const ConvInputs in(c, transpose);
   const ConvResult want = transpose ? conv_transpose2d_serial_reference(c, in)
                                     : conv2d_serial_reference(c, in);
-  const std::size_t saved_threads = runtime::global_threads();
-  const bool saved_metrics = obs::metrics_enabled();
-  runtime::set_global_threads(1);
-  const ConvResult serial = run_conv(c, transpose, in);
+  const TaskCountingScope counting;
+  const ConvRun serial = run_conv(c, transpose, in, 1);
+  const ConvRun threaded = run_conv(c, transpose, in, 4);
+  EXPECT_GT(threaded.forward_tasks, 0u) << "the forward never fanned out";
+  EXPECT_GT(threaded.backward_tasks, 0u) << "the backward never fanned out";
+  expect_same(serial.r, want, "1 thread");
+  expect_same(threaded.r, want, "4 threads");
 
-  runtime::set_global_threads(4);
-  obs::set_metrics_enabled(true);
-  const std::uint64_t tasks_before = pool_tasks();
-  const ConvResult threaded = run_conv(c, transpose, in);
-  // The last pool task bumps the counter just after releasing the latch;
-  // destroying the pool joins every worker, so the count is final.
-  runtime::set_global_threads(1);
-  const std::uint64_t tasks = pool_tasks() - tasks_before;
-  obs::set_metrics_enabled(saved_metrics);
-  runtime::set_global_threads(saved_threads);
-
-  EXPECT_GT(tasks, 0u) << "the 4-thread run never fanned out";
-  expect_same(serial, want, "1 thread");
-  expect_same(threaded, want, "4 threads");
+  const ConvRun dx_only =
+      run_conv(c, transpose, in, 4, {.w = false, .b = false});
+  EXPECT_GT(dx_only.backward_tasks, 0u) << "dX never fanned out";
+  EXPECT_EQ(dx_only.r.dx, want.dx) << "dX alone";
+  const ConvRun dw_only =
+      run_conv(c, transpose, in, 4, {.x = false, .b = false});
+  EXPECT_GT(dw_only.backward_tasks, 0u) << "dW never fanned out";
+  EXPECT_EQ(dw_only.r.dw, want.dw) << "dW alone";
 }
 
 std::string case_name(const testing::TestParamInfo<ConvCase>& info) {
@@ -330,14 +379,15 @@ TEST_P(Conv2dParallel, MatchesSerialReferenceAt1And4Threads) {
 INSTANTIATE_TEST_SUITE_P(
     Conv2d, Conv2dParallel,
     testing::Values(
-        // batch 1-3 x kernel 1/3/7 ("same" padding)
+        // batch 1-3 x kernel 1/3/7 ("same" padding); the 1x1 cases take 16
+        // input channels, as a dW task spans at least 8 weight columns
         ConvCase{"n1_k1", 1, 16, 32, 32, 16, 1, 1, 1, 0, 0},
         ConvCase{"n1_k3", 1, 6, 20, 20, 8, 3, 3, 1, 1, 1},
         ConvCase{"n1_k7", 1, 4, 20, 20, 6, 7, 7, 1, 3, 3},
-        ConvCase{"n2_k1", 2, 8, 20, 20, 8, 1, 1, 1, 0, 0},
+        ConvCase{"n2_k1", 2, 16, 20, 20, 8, 1, 1, 1, 0, 0},
         ConvCase{"n2_k3", 2, 6, 20, 20, 8, 3, 3, 1, 1, 1},
         ConvCase{"n2_k7", 2, 4, 20, 20, 6, 7, 7, 1, 3, 3},
-        ConvCase{"n3_k1", 3, 8, 20, 20, 8, 1, 1, 1, 0, 0},
+        ConvCase{"n3_k1", 3, 16, 20, 20, 8, 1, 1, 1, 0, 0},
         ConvCase{"n3_k3", 3, 6, 20, 20, 8, 3, 3, 1, 1, 1},
         ConvCase{"n3_k7", 3, 4, 20, 20, 6, 7, 7, 1, 3, 3},
         // as many samples as threads (the forward fans out over samples),
@@ -358,6 +408,32 @@ INSTANTIATE_TEST_SUITE_P(
         // one output channel: dW can only split its columns
         ConvCase{"out1_c64", 2, 64, 48, 48, 1, 1, 1, 1, 0, 0}),
     case_name);
+
+// --------------------------------------------------------- bias grads
+
+// db alone (only b requires grad) fans out over channels.  grain_for_cost
+// keeps it serial below ~32k adds per channel, so these use training
+// shapes with 48x48 output planes.
+void expect_bias_grad_fans_out(const ConvCase& c, bool transpose) {
+  const ConvInputs in(c, transpose);
+  const ConvResult want = transpose ? conv_transpose2d_serial_reference(c, in)
+                                    : conv2d_serial_reference(c, in);
+  const TaskCountingScope counting;
+  const ConvRun db_only =
+      run_conv(c, transpose, in, 4, {.x = false, .w = false});
+  EXPECT_GT(db_only.backward_tasks, 0u) << "db never fanned out";
+  EXPECT_EQ(db_only.r.db, want.db);
+}
+
+TEST(Conv2dBiasGrad, FansOutOnATrainingShape) {
+  expect_bias_grad_fans_out({"c12_48", 2, 12, 48, 48, 12, 3, 3, 1, 1, 1},
+                            /*transpose=*/false);
+}
+
+TEST(ConvTranspose2dBiasGrad, FansOutOnATrainingShape) {
+  expect_bias_grad_fans_out({"c24_24", 2, 24, 24, 24, 12, 2, 2, 2, 0, 0},
+                            /*transpose=*/true);
+}
 
 // ---------------------------------------------------- conv_transpose2d
 
