@@ -5,7 +5,7 @@
 // iterations-to-tolerance and wall time as a JSON perf record.  Also
 // verifies the PCG determinism contract: 1-thread and N-thread solves of
 // the largest system must be bitwise identical (including the
-// level-scheduled SSOR / IC(0) triangular applies), and measures the
+// level-scheduled IC(0) triangular applies), and measures the
 // SolverContext on the two repeated-solve workloads:
 //
 //   * cold-vs-warm pdn::optimize — the ECO loop re-solved from scratch
@@ -15,22 +15,16 @@
 //     refreshes must keep the IC(0) factor (one setup amortized across
 //     the sweep) and still beat the per-solve cold starts.
 //
-// A grid-scaling section targets the million-node regime on a ladder of
-// multi-layer dies whose side doubles per step (unknowns roughly
-// quadruple) and gates the new solver paths on deterministic work
-// counts, not timing:
+// A grid-scaling section records, on a ladder of multi-layer dies whose
+// side doubles per step (unknowns roughly quadruple), the Jacobi and
+// IC(0) iteration counts and median wall time (of kGridReps solves) at
+// the default pool size.  It is a record, not a gate: which kind wins on
+// wall time depends on the system size and the host (docs/SOLVER.md).
 //
-//   * AMG iteration growth must be sub-linear relative to IC(0) as the
-//     grid quadruples, and AMG must beat IC(0) outright at the top size;
-//   * mixed-precision PCG must reach the same tolerance while streaming
-//     fewer SpMV bytes than the all-double solve;
-//   * the domain-decomposition solve must be bitwise identical at 1 vs
-//     max-configured (default 8) threads.
-//
-// Exit status is non-zero when IC(0) or SSOR fails to reduce iterations
-// vs. Jacobi on the largest circuit, when a thread-identity check fails,
-// when context reuse stops cutting iterations, or when any grid-scaling
-// gate above regresses — CI runs this as a smoke test.
+// Exit status is non-zero when IC(0) fails to reduce iterations vs.
+// Jacobi on the largest circuit, when the thread-identity check fails, or
+// when context reuse stops cutting iterations — CI runs this as a smoke
+// test.
 //
 // Knobs (environment):
 //   LMMIR_BENCH_CASES       number of circuit sizes        (default 3)
@@ -38,6 +32,7 @@
 //   LMMIR_BENCH_THREADS     comma list of pool sizes       (default "1,8")
 //   LMMIR_BENCH_ROUNDS      ECO / sweep repeat count       (default 6)
 //   LMMIR_BENCH_GRID_CASES  grid-scaling ladder steps      (default 3)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -70,9 +65,11 @@ struct SolveRecord {
 };
 
 constexpr sparse::PreconditionerKind kKinds[] = {
-    sparse::PreconditionerKind::None,    sparse::PreconditionerKind::Jacobi,
-    sparse::PreconditionerKind::Ssor,    sparse::PreconditionerKind::Ic0,
-    sparse::PreconditionerKind::Amg,     sparse::PreconditionerKind::Schwarz};
+    sparse::PreconditionerKind::None, sparse::PreconditionerKind::Jacobi,
+    sparse::PreconditionerKind::Ic0};
+
+/// Solves per grid-scaling step and kind; the record keeps the median.
+constexpr int kGridReps = 3;
 
 }  // namespace
 
@@ -81,6 +78,9 @@ int main() {
       std::max(1L, benchio::env_long("LMMIR_BENCH_CASES", 3)));
   const double scale = benchio::env_double("LMMIR_BENCH_SCALE", 1.0);
   const std::vector<std::size_t> thread_cfgs = benchio::env_thread_list();
+  // The default pool size (LMMIR_THREADS, else host cores), read before
+  // the ladder pins the pool to one thread: grid scaling runs at it.
+  const std::size_t pool_threads = runtime::global_threads();
   // Populate the registry snapshot embedded in the record (recording never
   // feeds back into the solves; bitwise gates below are unaffected).
   obs::set_metrics_enabled(true);
@@ -128,8 +128,8 @@ int main() {
   }
 
   // Determinism: solve the largest system at min vs max pool size and
-  // compare the iterates bitwise (the blocked-reduction contract).  SSOR
-  // and IC(0) exercise the level-scheduled triangular applies.
+  // compare the iterates bitwise (the blocked-reduction contract).  IC(0)
+  // exercises the level-scheduled triangular applies.
   std::size_t t_min = thread_cfgs.front(), t_max = thread_cfgs.front();
   for (std::size_t t : thread_cfgs) {
     t_min = std::min(t_min, t);
@@ -138,9 +138,7 @@ int main() {
   const auto& big = systems.back();
   bool bitwise_identical = true;
   for (const auto kind :
-       {sparse::PreconditionerKind::Jacobi, sparse::PreconditionerKind::Ssor,
-        sparse::PreconditionerKind::Ic0, sparse::PreconditionerKind::Amg,
-        sparse::PreconditionerKind::Schwarz}) {
+       {sparse::PreconditionerKind::Jacobi, sparse::PreconditionerKind::Ic0}) {
     sparse::CgOptions opts;
     opts.preconditioner = kind;
     runtime::set_global_threads(t_min);
@@ -156,13 +154,11 @@ int main() {
   runtime::set_global_threads(1);
 
   const auto& largest = records.back();
-  std::size_t it_jacobi = 0, it_ssor = 0, it_ic0 = 0;
+  std::size_t it_jacobi = 0, it_ic0 = 0;
   for (const auto& r : largest) {
     if (r.kind == sparse::PreconditionerKind::Jacobi) it_jacobi = r.iterations;
-    if (r.kind == sparse::PreconditionerKind::Ssor) it_ssor = r.iterations;
     if (r.kind == sparse::PreconditionerKind::Ic0) it_ic0 = r.iterations;
   }
-  const bool ssor_reduces = it_ssor < it_jacobi;
   const bool ic0_reduces = it_ic0 < it_jacobi;
 
   // ---- Scenario: cold-vs-warm pdn::optimize (the ECO repeated-solve
@@ -187,11 +183,8 @@ int main() {
   const spice::Netlist eco_nl = gen::generate_pdn(eco_cfg);
   std::vector<EcoRecord> eco_records;
   bool warm_cuts_iterations = true;
-  for (const auto kind : {sparse::PreconditionerKind::Jacobi,
-                          sparse::PreconditionerKind::Ssor,
-                          sparse::PreconditionerKind::Ic0,
-                          sparse::PreconditionerKind::Amg,
-                          sparse::PreconditionerKind::Schwarz}) {
+  for (const auto kind :
+       {sparse::PreconditionerKind::Jacobi, sparse::PreconditionerKind::Ic0}) {
     pdn::StrengthenOptions sopts;
     sopts.target_fraction = 1e-7;  // never met: the cap is the exit
     sopts.max_iterations = rounds;
@@ -260,19 +253,20 @@ int main() {
     if (!(sweep.warm_iters < sweep.cold_iters)) warm_cuts_iterations = false;
   }
 
-  // ---- Scenario: grid scaling (the million-node regime, scaled to the
-  // host).  Die side doubles per step so unknowns roughly quadruple; all
-  // gates are deterministic iteration / byte counts, not wall time.
+  // ---- Scenario: grid scaling (the large-mesh regime, scaled to the
+  // host).  Die side doubles per step so unknowns roughly quadruple; each
+  // kind's wall time is the median of kGridReps solves at the default
+  // pool size.  Recorded, not gated.
   const int grid_cases = static_cast<int>(
       std::max(2L, benchio::env_long("LMMIR_BENCH_GRID_CASES", 3)));
   struct GridRecord {
     double side = 0.0;
     std::size_t unknowns = 0, nnz = 0;
-    std::size_t it_ic0 = 0, it_amg = 0, it_dd = 0;
-    double ic0_s = 0.0, amg_s = 0.0, dd_s = 0.0;
+    std::size_t it_jacobi = 0, it_ic0 = 0;
+    double jacobi_s = 0.0, ic0_s = 0.0;
   };
   std::vector<GridRecord> grid_records;
-  std::vector<pdn::AssembledSystem> grid_systems;
+  runtime::set_global_threads(pool_threads);
   for (int i = 0; i < grid_cases; ++i) {
     const double side = std::max(24.0, 24.0 * (1 << i) * scale);
     gen::GeneratorConfig cfg;
@@ -283,70 +277,34 @@ int main() {
     cfg.bump_pitch_um = std::max(12.0, side / 4.0);
     cfg.total_current = 0.08 * (side * side) / (64.0 * 64.0);
     const spice::Netlist nl = gen::generate_pdn(cfg);
-    grid_systems.push_back(pdn::assemble_ir_system(pdn::Circuit(nl)));
+    const pdn::AssembledSystem sys = pdn::assemble_ir_system(pdn::Circuit(nl));
 
     GridRecord g;
     g.side = side;
-    g.unknowns = grid_systems.back().matrix.dim();
-    g.nnz = grid_systems.back().matrix.nnz();
-    auto timed = [&](sparse::PreconditionerKind kind, double& secs) {
+    g.unknowns = sys.matrix.dim();
+    g.nnz = sys.matrix.nnz();
+    auto timed = [&](sparse::PreconditionerKind kind, double& median_s) {
       sparse::CgOptions opts;
       opts.preconditioner = kind;
-      util::Stopwatch watch;
-      const auto res = sparse::conjugate_gradient(
-          grid_systems.back().matrix, grid_systems.back().rhs, opts);
-      secs = watch.seconds();
-      return res.converged ? res.iterations : static_cast<std::size_t>(-1);
+      std::vector<double> secs;
+      std::size_t iterations = 0;
+      for (int rep = 0; rep < kGridReps; ++rep) {
+        util::Stopwatch watch;
+        const auto res =
+            sparse::conjugate_gradient(sys.matrix, sys.rhs, opts);
+        secs.push_back(watch.seconds());
+        iterations =
+            res.converged ? res.iterations : static_cast<std::size_t>(-1);
+      }
+      std::sort(secs.begin(), secs.end());
+      median_s = secs[secs.size() / 2];
+      return iterations;
     };
+    g.it_jacobi = timed(sparse::PreconditionerKind::Jacobi, g.jacobi_s);
     g.it_ic0 = timed(sparse::PreconditionerKind::Ic0, g.ic0_s);
-    g.it_amg = timed(sparse::PreconditionerKind::Amg, g.amg_s);
-    g.it_dd = timed(sparse::PreconditionerKind::Schwarz, g.dd_s);
     grid_records.push_back(g);
   }
-  // Gate 1: AMG iteration growth stays sub-linear relative to IC(0)'s as
-  // the grid quadruples, and AMG wins outright at the top size.
-  const double amg_growth =
-      static_cast<double>(grid_records.back().it_amg) /
-      static_cast<double>(std::max<std::size_t>(1, grid_records[0].it_amg));
-  const double ic0_growth =
-      static_cast<double>(grid_records.back().it_ic0) /
-      static_cast<double>(std::max<std::size_t>(1, grid_records[0].it_ic0));
-  const bool amg_scales = amg_growth < ic0_growth;
-  const bool amg_beats_ic0_at_top =
-      grid_records.back().it_amg < grid_records.back().it_ic0;
-
-  // Gate 2: mixed-precision PCG reaches the same tolerance on the top
-  // grid while streaming fewer SpMV bytes (deterministic work counters).
-  const auto& top = grid_systems.back();
-  sparse::CgOptions mp_opts;
-  mp_opts.preconditioner = sparse::PreconditionerKind::Ic0;
-  const auto mp_double = sparse::conjugate_gradient(top.matrix, top.rhs,
-                                                    mp_opts);
-  mp_opts.precision = sparse::SolverPrecision::Mixed;
-  const auto mp_mixed = sparse::conjugate_gradient(top.matrix, top.rhs,
-                                                   mp_opts);
-  const bool mixed_same_tolerance =
-      mp_double.converged && mp_mixed.converged &&
-      mp_mixed.residual < mp_opts.tolerance;
-  const bool mixed_fewer_bytes = mp_mixed.spmv_bytes < mp_double.spmv_bytes;
-
-  // Gate 3: the domain-decomposition solve is bitwise identical at 1 vs
-  // the max configured pool size (default 8) on the top grid.
-  bool dd_bitwise_identical = true;
-  {
-    sparse::CgOptions dd_opts;
-    dd_opts.preconditioner = sparse::PreconditionerKind::Schwarz;
-    runtime::set_global_threads(1);
-    const auto lo = sparse::conjugate_gradient(top.matrix, top.rhs, dd_opts);
-    runtime::set_global_threads(t_max);
-    const auto hi = sparse::conjugate_gradient(top.matrix, top.rhs, dd_opts);
-    runtime::set_global_threads(1);
-    if (lo.x.size() != hi.x.size() || lo.iterations != hi.iterations)
-      dd_bitwise_identical = false;
-    else
-      for (std::size_t i = 0; i < lo.x.size(); ++i)
-        if (lo.x[i] != hi.x[i]) dd_bitwise_identical = false;
-  }
+  runtime::set_global_threads(1);
 
   benchio::JsonRecord rec;
   rec.printf("{\n");
@@ -394,44 +352,23 @@ int main() {
               rounds, sweep.cold_iters, sweep.warm_iters, sweep.warm_builds,
               sweep.cold_s, sweep.warm_s);
   rec.printf("  \"grid_scaling\": {\n");
+  rec.printf("    \"threads\": %zu, \"reps\": %d,\n", pool_threads,
+              kGridReps);
   rec.printf("    \"cases\": [\n");
   for (std::size_t g = 0; g < grid_records.size(); ++g) {
     const auto& r = grid_records[g];
     rec.printf("      {\"side_um\": %.0f, \"unknowns\": %zu, \"nnz\": %zu, "
-                "\"ic0_iterations\": %zu, \"amg_iterations\": %zu, "
-                "\"dd_iterations\": %zu, \"ic0_s\": %.4f, \"amg_s\": %.4f, "
-                "\"dd_s\": %.4f}%s\n",
-                r.side, r.unknowns, r.nnz, r.it_ic0, r.it_amg, r.it_dd,
-                r.ic0_s, r.amg_s, r.dd_s,
-                g + 1 < grid_records.size() ? "," : "");
+                "\"jacobi_iterations\": %zu, \"ic0_iterations\": %zu, "
+                "\"jacobi_median_s\": %.4f, \"ic0_median_s\": %.4f}%s\n",
+                r.side, r.unknowns, r.nnz, r.it_jacobi, r.it_ic0,
+                r.jacobi_s, r.ic0_s, g + 1 < grid_records.size() ? "," : "");
   }
-  rec.printf("    ],\n");
-  rec.printf("    \"amg_iteration_growth\": %.3f,\n", amg_growth);
-  rec.printf("    \"ic0_iteration_growth\": %.3f,\n", ic0_growth);
-  rec.printf("    \"amg_growth_sublinear_vs_ic0\": %s,\n",
-              amg_scales ? "true" : "false");
-  rec.printf("    \"amg_beats_ic0_at_top\": %s,\n",
-              amg_beats_ic0_at_top ? "true" : "false");
-  rec.printf("    \"mixed_double_spmv_bytes\": %zu,\n",
-              static_cast<std::size_t>(mp_double.spmv_bytes));
-  rec.printf("    \"mixed_spmv_bytes\": %zu,\n",
-              static_cast<std::size_t>(mp_mixed.spmv_bytes));
-  rec.printf("    \"mixed_refinement_steps\": %zu,\n",
-              mp_mixed.refinement_steps);
-  rec.printf("    \"mixed_same_tolerance\": %s,\n",
-              mixed_same_tolerance ? "true" : "false");
-  rec.printf("    \"mixed_fewer_spmv_bytes\": %s,\n",
-              mixed_fewer_bytes ? "true" : "false");
-  rec.printf("    \"dd_identity_threads\": [1, %zu],\n", t_max);
-  rec.printf("    \"dd_bitwise_identical\": %s\n",
-              dd_bitwise_identical ? "true" : "false");
+  rec.printf("    ]\n");
   rec.printf("  },\n");
   rec.printf("  \"identity_threads\": [%zu, %zu],\n", t_min, t_max);
   rec.printf("  \"threads_bitwise_identical\": %s,\n",
               bitwise_identical ? "true" : "false");
   rec.printf("  \"largest_jacobi_iterations\": %zu,\n", it_jacobi);
-  rec.printf("  \"ssor_reduces_vs_jacobi\": %s,\n",
-              ssor_reduces ? "true" : "false");
   rec.printf("  \"ic0_reduces_vs_jacobi\": %s,\n",
               ic0_reduces ? "true" : "false");
   rec.printf("  \"context_reuse_cuts_iterations\": %s,\n",
@@ -441,9 +378,5 @@ int main() {
   std::fputs(rec.text().c_str(), stdout);
   benchio::append_history("solver_convergence", rec.text());
 
-  return (bitwise_identical && ssor_reduces && ic0_reduces &&
-          warm_cuts_iterations && amg_scales && amg_beats_ic0_at_top &&
-          mixed_same_tolerance && mixed_fewer_bytes && dd_bitwise_identical)
-             ? 0
-             : 1;
+  return (bitwise_identical && ic0_reduces && warm_cuts_iterations) ? 0 : 1;
 }

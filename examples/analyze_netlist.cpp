@@ -6,7 +6,7 @@
 // Usage: analyze_netlist [netlist.sp] [out_dir]
 // With no arguments a demonstration netlist is generated first.
 // LMMIR_PRECOND selects the golden-solver preconditioner
-// (none|jacobi|ssor|ic0; default jacobi).
+// (none|jacobi|ic0; default jacobi).
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>

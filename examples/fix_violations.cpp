@@ -11,7 +11,7 @@
 //
 // Usage: fix_violations [netlist.sp] [target_drop_fraction]
 // LMMIR_PRECOND selects the golden-solver preconditioner
-// (none|jacobi|ssor|ic0; default jacobi).
+// (none|jacobi|ic0; default jacobi).
 #include <cstdio>
 #include <cstdlib>
 

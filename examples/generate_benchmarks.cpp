@@ -17,14 +17,11 @@
 //
 // --grid-scale replaces the BeGAN-style random corpus with a ladder of N
 // (default 3) multi-layer large-grid cases whose die side doubles per
-// step — unknown counts roughly quadruple, the regime the AMG / domain-
-// decomposition preconditioners target.  `count` is ignored in this mode;
-// `seed` still perturbs the current maps.
+// step — unknown counts roughly quadruple, the large-grid solver regime.
+// `count` is ignored in this mode; `seed` still perturbs the current maps.
 //
 // LMMIR_PRECOND selects the golden-solver preconditioner
-// (none|jacobi|ssor|ic0|amg|dd; default jacobi) and
-// LMMIR_SOLVER_PRECISION the PCG arithmetic (double|mixed); see
-// docs/SOLVER.md.
+// (none|jacobi|ic0; default jacobi); see docs/SOLVER.md.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -43,7 +40,6 @@
 #include "pdn/solver_context.hpp"
 #include "pdn/stats.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sparse/precision.hpp"
 
 namespace {
 
@@ -97,8 +93,6 @@ int main(int argc, char** argv) {
   pdn::SolveOptions solve_opts;
   solve_opts.cg.preconditioner =
       sparse::preconditioner_kind_from_env(solve_opts.cg.preconditioner);
-  solve_opts.cg.precision =
-      sparse::solver_precision_from_env(solve_opts.cg.precision);
   pdn::SolverContextStats context_stats;
   feat::FeatureContextStats feature_stats;
 

@@ -4,7 +4,6 @@
 
 #include "features/feature_context.hpp"
 #include "pdn/solver_context.hpp"
-#include "sparse/precision.hpp"
 #include "sparse/preconditioner.hpp"
 #include "spice/parser.hpp"
 #include "util/log.hpp"
@@ -52,8 +51,6 @@ PipelineOptions PipelineOptions::from_environment() {
   o.train.seed = o.seed + 1;
   o.sample.solver_precond =
       sparse::preconditioner_kind_from_env(o.sample.solver_precond);
-  o.sample.solver_precision =
-      sparse::solver_precision_from_env(o.sample.solver_precision);
   o.solver_context_reuse = env_long("LMMIR_SOLVER_REUSE", 1) != 0;
   o.feature_context_reuse = env_long("LMMIR_FEATURE_REUSE", 1) != 0;
   o.tensor_arena = env_long("LMMIR_TENSOR_ARENA", 1) != 0;

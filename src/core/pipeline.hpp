@@ -11,9 +11,7 @@
 // Environment overrides (read once at construction):
 //   LMMIR_INPUT_SIDE, LMMIR_PC_GRID, LMMIR_SCALE, LMMIR_FAKE_CASES,
 //   LMMIR_REAL_CASES, LMMIR_EPOCHS, LMMIR_PRETRAIN_EPOCHS, LMMIR_SEED,
-//   LMMIR_PRECOND (golden-solver preconditioner:
-//   none|jacobi|ssor|ic0|amg|dd),
-//   LMMIR_SOLVER_PRECISION (golden-solver arithmetic: double|mixed; see
+//   LMMIR_PRECOND (golden-solver preconditioner: none|jacobi|ic0; see
 //   docs/SOLVER.md),
 //   LMMIR_SOLVER_REUSE (0 disables the shared SolverContext during
 //   dataset / testset golden solves),

@@ -70,7 +70,6 @@ Sample make_sample(const spice::Netlist& netlist, const std::string& name,
   const pdn::Circuit circuit(netlist);
   pdn::SolveOptions solve_opts;
   solve_opts.cg.preconditioner = opts.solver_precond;
-  solve_opts.cg.precision = opts.solver_precision;
   solve_opts.context = opts.solver_context;
   const pdn::Solution sol = pdn::solve_ir_drop(circuit, solve_opts);
   grid::Grid2D truth = pdn::rasterize_ir_drop(netlist, sol);

@@ -10,7 +10,6 @@
 #include "features/spatial.hpp"
 #include "gen/began.hpp"
 #include "grid/grid2d.hpp"
-#include "sparse/precision.hpp"
 #include "sparse/preconditioner.hpp"
 #include "spice/netlist.hpp"
 #include "tensor/tensor.hpp"
@@ -30,10 +29,6 @@ struct SampleOptions {
   /// Preconditioner for the golden IR-drop solve backing the ground truth.
   sparse::PreconditionerKind solver_precond =
       sparse::PreconditionerKind::Jacobi;
-  /// Solver arithmetic for that solve (sparse/precision.hpp): Double is
-  /// the bit-exact default; Mixed streams f32 matrix storage inside a
-  /// double iterative-refinement loop — same tolerance, fewer bytes.
-  sparse::SolverPrecision solver_precision = sparse::SolverPrecision::Double;
   /// Optional shared solver cache for corpus generation: consecutive
   /// samples of the same PDN topology (load sweeps, ECO variants) reuse
   /// the assembled pattern / preconditioner and warm-start PCG; unrelated

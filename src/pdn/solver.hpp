@@ -2,7 +2,7 @@
 // Golden static IR-drop solver.  Performs reduced modified nodal analysis:
 // voltage-source-pinned nodes are eliminated (Dirichlet boundary), the
 // remaining conductance system G v = i is SPD and solved with
-// preconditioned CG (Jacobi / SSOR / IC0, see sparse/preconditioner.hpp).
+// preconditioned CG (Jacobi / IC0, see sparse/preconditioner.hpp).
 // This is the "commercial tool" stand-in that produces ground truth for
 // every experiment, so it carries per-solve telemetry (iterations,
 // residual history, preconditioner setup/apply time).

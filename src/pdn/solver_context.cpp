@@ -30,8 +30,6 @@ struct SolverMetrics {
       obs::counter("lmmir_solver_ctx_precond_reuses_total");
   obs::Counter& precond_builds =
       obs::counter("lmmir_solver_ctx_precond_builds_total");
-  obs::Counter& precond_refreshes =
-      obs::counter("lmmir_solver_ctx_precond_refreshes_total");
 
   static SolverMetrics& get() {
     static SolverMetrics m;
@@ -61,35 +59,18 @@ Solution SolverContext::solve(const Circuit& circuit,
   const bool keep_precond = reuse && opts.reuse_preconditioner && precond_ &&
                             precond_->kind() == kind &&
                             precond_version_ == matrix_version_;
-  // When only the VALUES moved on the cached pattern, kinds with a
-  // symbolic/numeric split (AMG keeps its aggregates and transfer
-  // patterns, Schwarz its tile partition and extraction plans) refactor
-  // in place instead of rebuilding — the ECO-loop fast path.
-  const bool try_refresh = !keep_precond && reuse &&
-                           opts.reuse_preconditioner && precond_ &&
-                           precond_->kind() == kind;
   double setup_seconds = 0.0;
   if (keep_precond) {
     SolverMetrics::get().precond_reuses.add();
   } else {
     util::Stopwatch setup_watch;
-    if (try_refresh && precond_->refresh(sys_.matrix)) {
-      setup_seconds = setup_watch.seconds();
-      ++stats_.precond_refreshes;
-      SolverMetrics::get().precond_refreshes.add();
-    } else {
-      precond_ = sparse::make_preconditioner(kind, sys_.matrix);
-      setup_seconds = setup_watch.seconds();
-      ++stats_.precond_builds;
-      SolverMetrics::get().precond_builds.add();
-    }
+    precond_ = sparse::make_preconditioner(kind, sys_.matrix);
+    setup_seconds = setup_watch.seconds();
+    ++stats_.precond_builds;
+    SolverMetrics::get().precond_builds.add();
     precond_version_ = matrix_version_;
     stats_.precond_setup_seconds += setup_seconds;
   }
-  // Mixed-precision solves want the preconditioner's own storage demoted
-  // too, where the kind supports it (idempotent; no-op otherwise).
-  if (opts.cg.precision == sparse::SolverPrecision::Mixed)
-    precond_->demote_storage();
 
   const std::vector<double>* x0 = nullptr;
   if (reuse && opts.warm_start && last_x_.size() == sys_.matrix.dim())

@@ -51,9 +51,6 @@ struct SolverContextStats {
   std::size_t matrix_refreshes = 0;  // refreshes that had to refill values
                                      // (the rest were rhs-only updates)
   std::size_t precond_builds = 0;
-  std::size_t precond_refreshes = 0;  // numeric-only refactors on the kept
-                                      // structure (AMG aggregates, Schwarz
-                                      // partition) instead of full rebuilds
   std::size_t warm_starts = 0;
   std::size_t total_cg_iterations = 0;
   double assemble_seconds = 0.0;       // full assemblies + plan builds
@@ -67,7 +64,6 @@ struct SolverContextStats {
     refreshes += o.refreshes;
     matrix_refreshes += o.matrix_refreshes;
     precond_builds += o.precond_builds;
-    precond_refreshes += o.precond_refreshes;
     warm_starts += o.warm_starts;
     total_cg_iterations += o.total_cg_iterations;
     assemble_seconds += o.assemble_seconds;

@@ -6,7 +6,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -76,16 +75,11 @@ void update_direction(std::vector<double>& p, const std::vector<double>& z,
 /// systems and risk overflowing the iterate: treat as breakdown instead.
 constexpr double kAlphaLimit = 1e100;
 
-}  // namespace
-
-namespace {
-
 /// y = A·x with the solve's work counters updated: one product, its
 /// deterministic byte count, and the wall time it took.  Counter and
-/// stopwatch writes happen outside the kernel, so the double path's
-/// floating-point arithmetic — and the golden checksums — are untouched.
-template <typename Mat>
-void counted_spmv(const Mat& a, const std::vector<double>& x,
+/// stopwatch writes happen outside the kernel, so the floating-point
+/// arithmetic — and the golden checksums — are untouched.
+void counted_spmv(const CsrMatrix& a, const std::vector<double>& x,
                   std::vector<double>& y, CgResult& res) {
   util::Stopwatch watch;
   a.multiply(x, y);
@@ -94,13 +88,8 @@ void counted_spmv(const Mat& a, const std::vector<double>& x,
   res.spmv_bytes += a.bytes_per_spmv();
 }
 
-/// The PCG recurrence, templated over the matrix storage: CsrMatrix for
-/// the classic all-double solve, CsrMatrixF32 for the memory-bound inner
-/// solves of the mixed-precision path (f32 storage, double recurrences).
-/// The f32 instantiation requires a prebuilt preconditioner — it is built
-/// from the double matrix, which this function does not see.
-template <typename Mat>
-CgResult run_pcg(const Mat& a, const std::vector<double>& b,
+/// The PCG recurrence (all double precision).
+CgResult run_pcg(const CsrMatrix& a, const std::vector<double>& b,
                  const CgOptions& opts, const Preconditioner* precond,
                  const std::vector<double>* x0) {
   const std::size_t n = a.dim();
@@ -126,15 +115,10 @@ CgResult run_pcg(const Mat& a, const std::vector<double>& b,
   std::unique_ptr<Preconditioner> owned;
   const Preconditioner* m = precond;
   if (!m) {
-    if constexpr (std::is_same_v<Mat, CsrMatrix>) {
-      util::Stopwatch setup_watch;
-      owned = make_preconditioner(opts.preconditioner, a);
-      m = owned.get();
-      res.precond_setup_seconds = setup_watch.seconds();
-    } else {
-      throw std::logic_error(
-          "run_pcg: the f32 inner solve needs a prebuilt preconditioner");
-    }
+    util::Stopwatch setup_watch;
+    owned = make_preconditioner(opts.preconditioner, a);
+    m = owned.get();
+    res.precond_setup_seconds = setup_watch.seconds();
   }
 
   std::vector<double> r = b;  // r = b - A*0
@@ -226,141 +210,6 @@ CgResult run_pcg(const Mat& a, const std::vector<double>& b,
   return res;
 }
 
-/// Inner solves stop at this relative reduction: below ~1e-6 the f32
-/// matrix's own representation error dominates the inner residual, so
-/// extra inner iterations buy nothing the outer refinement can keep.
-constexpr double kMixedInnerFloor = 1e-6;
-/// Refinement passes beyond this mean the f32 floor was hit; each pass
-/// normally multiplies the residual by ~1e-5, so 8 covers any tolerance.
-constexpr std::size_t kMaxRefinements = 8;
-
-/// Mixed-precision PCG: double-precision iterative refinement around f32-
-/// storage inner solves.
-///
-///   loop: r_d = b − A·x      (double matrix — the exact residual)
-///         solve A32·dx = r_d (inner PCG, f32 SpMV, double recurrences)
-///         x += dx
-///
-/// Each pass re-measures the TRUE residual in double, so the accumulated
-/// x converges to the same tolerance as the all-double path while the
-/// memory-bound SpMVs stream roughly half the bytes.  `max_iterations`
-/// budgets the summed inner iterations.
-CgResult run_mixed(const CsrMatrix& a, const std::vector<double>& b,
-                   const CgOptions& opts, const Preconditioner* precond,
-                   const std::vector<double>* x0) {
-  const std::size_t n = a.dim();
-  if (b.size() != n)
-    throw std::invalid_argument("conjugate_gradient: rhs size mismatch");
-  if (x0 && x0->size() != n)
-    throw std::invalid_argument("conjugate_gradient: x0 size mismatch");
-
-  CgResult res;
-  res.precision = SolverPrecision::Mixed;
-  res.preconditioner = precond ? precond->kind() : opts.preconditioner;
-  res.x.assign(n, 0.0);
-  if (n == 0) {
-    res.converged = true;
-    return res;
-  }
-  const double bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    res.converged = true;
-    return res;
-  }
-
-  std::unique_ptr<Preconditioner> owned;
-  const Preconditioner* m = precond;
-  if (!m) {
-    util::Stopwatch setup_watch;
-    owned = make_preconditioner(opts.preconditioner, a);
-    // Kinds that support it halve their own apply traffic too (Jacobi f32
-    // diagonal, AMG f32 level operators); the rest keep double storage.
-    owned->demote_storage();
-    m = owned.get();
-    res.precond_setup_seconds = setup_watch.seconds();
-  }
-
-  const CsrMatrixF32 a32(a);
-  std::vector<double> rd(n), work(n);
-  if (x0) res.x = *x0;
-  double prev_rel = std::numeric_limits<double>::infinity();
-  for (std::size_t pass = 0;; ++pass) {
-    // True residual in double precision.
-    counted_spmv(a, res.x, work, res);
-    runtime::parallel_for(0, n, runtime::grain_for_cost(2),
-                          [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t i = lo; i < hi; ++i)
-                              rd[i] = b[i] - work[i];
-                          });
-    double rel = norm2(rd) / bnorm;
-    if (pass == 0) {
-      if (x0 && std::isfinite(rel)) {
-        res.warm_started = true;
-        res.initial_residual = rel;
-      } else if (x0) {
-        // Non-finite guess: fall back to the zero start (rd = b exactly).
-        res.x.assign(n, 0.0);
-        rd = b;
-        rel = 1.0;
-      }
-    } else if (!std::isfinite(rel)) {
-      res.breakdown = true;
-      break;
-    }
-    res.residual = rel;
-    if (opts.record_residual_history && pass > 0)
-      res.residual_history.push_back(rel);
-    if (rel < opts.tolerance) {
-      res.converged = true;
-      break;
-    }
-    // Stop when refinement stalls (the f32 representation floor), the
-    // pass budget runs out, or the inner-iteration budget is spent.
-    if (pass > 0 && rel > 0.5 * prev_rel) break;
-    if (pass >= kMaxRefinements) break;
-    if (res.iterations >= opts.max_iterations) break;
-    prev_rel = rel;
-
-    CgOptions inner = opts;
-    inner.precision = SolverPrecision::Double;  // recurrences; storage is f32
-    inner.record_residual_history = false;
-    inner.max_iterations = opts.max_iterations - res.iterations;
-    // The global residual after the pass is roughly (inner reduction)·rel,
-    // so aim a factor 4 below the target but never under the f32 floor.
-    inner.tolerance =
-        std::max(kMixedInnerFloor, 0.25 * opts.tolerance / rel);
-    const CgResult ir = run_pcg(a32, rd, inner, m, nullptr);
-    res.iterations += ir.iterations;
-    res.spmv_count += ir.spmv_count;
-    res.spmv_bytes += ir.spmv_bytes;
-    res.spmv_seconds += ir.spmv_seconds;
-    res.precond_apply_seconds += ir.precond_apply_seconds;
-    res.refinement_steps = pass + 1;
-    runtime::parallel_for(0, n, runtime::grain_for_cost(2),
-                          [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t i = lo; i < hi; ++i)
-                              res.x[i] += ir.x[i];
-                          });
-    if (ir.breakdown) {
-      // Report the residual of the corrected iterate honestly, then stop.
-      counted_spmv(a, res.x, work, res);
-      runtime::parallel_for(0, n, runtime::grain_for_cost(2),
-                            [&](std::size_t lo, std::size_t hi) {
-                              for (std::size_t i = lo; i < hi; ++i)
-                                rd[i] = b[i] - work[i];
-                            });
-      const double final_rel = norm2(rd) / bnorm;
-      if (std::isfinite(final_rel)) res.residual = final_rel;
-      res.converged = res.residual < opts.tolerance;
-      res.breakdown = !res.converged;
-      break;
-    }
-  }
-  if (!std::isfinite(res.residual))
-    res.residual = std::numeric_limits<double>::max();
-  return res;
-}
-
 }  // namespace
 
 CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
@@ -368,14 +217,7 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
                             const Preconditioner* precond,
                             const std::vector<double>* x0) {
   obs::Span span("cg.solve");
-  // Mixed precision needs u32-indexable storage; past that the double
-  // path is the only correct option, so downgrade silently (res.precision
-  // reports what ran).
-  constexpr std::size_t kU32Max = 0xFFFFFFFFull;
-  const bool mixed = opts.precision == SolverPrecision::Mixed &&
-                     a.dim() < kU32Max && a.nnz() < kU32Max;
-  CgResult res = mixed ? run_mixed(a, b, opts, precond, x0)
-                       : run_pcg(a, b, opts, precond, x0);
+  CgResult res = run_pcg(a, b, opts, precond, x0);
   // Per-solve telemetry: one-shot registry writes after the iteration, so
   // the hot loop itself carries no instrumentation.
   if (obs::metrics_enabled()) {
@@ -396,8 +238,6 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
     static obs::Counter& spmv_bytes =
         obs::counter("lmmir_pcg_spmv_bytes_total");
     static obs::Gauge& spmv_s = obs::gauge("lmmir_pcg_spmv_seconds_total");
-    static obs::Counter& refinements =
-        obs::counter("lmmir_pcg_refinement_steps_total");
     solves.add();
     iterations.add(res.iterations);
     if (res.converged) converged.add();
@@ -409,7 +249,6 @@ CgResult conjugate_gradient(const CsrMatrix& a, const std::vector<double>& b,
     spmvs.add(res.spmv_count);
     spmv_bytes.add(res.spmv_bytes);
     spmv_s.add(res.spmv_seconds);
-    refinements.add(res.refinement_steps);
     // Per-preconditioner breakdown, encoded in the metric name (the
     // registry is name-keyed; this is a post-solve lookup, not hot path).
     const std::string prefix =

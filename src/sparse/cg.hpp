@@ -2,7 +2,8 @@
 // Preconditioner-agnostic Preconditioned Conjugate Gradient.  PDN
 // conductance matrices are SPD and diagonally dominant, for which Jacobi
 // PCG converges in a few hundred iterations even on 10^5-node systems;
-// SSOR / IC(0) (see sparse/preconditioner.hpp) cut that further.
+// IC(0) (see sparse/preconditioner.hpp) cuts the count further, though not
+// the wall time on large systems.
 //
 // Hot loops (SpMV, dot, axpy, Jacobi apply) fan out over the runtime
 // thread pool under the bitwise-determinism contract: dot products reduce
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "sparse/csr.hpp"
-#include "sparse/precision.hpp"
 #include "sparse/preconditioner.hpp"
 
 namespace lmmir::sparse {
@@ -22,13 +22,6 @@ struct CgOptions {
   double tolerance = 1e-10;  // on ||r|| / ||b||
   PreconditionerKind preconditioner = PreconditionerKind::Jacobi;
   bool record_residual_history = true;
-  /// Double: today's bit-exact all-double iteration.  Mixed: the SpMV
-  /// streams an f32-storage mirror of the matrix (CsrMatrixF32 — roughly
-  /// half the bytes) with double recurrences, wrapped in a double-
-  /// precision iterative-refinement outer loop that recovers the full
-  /// tolerance; `max_iterations` bounds the summed inner iterations.
-  /// Mixed falls back to Double when dim/nnz exceed u32 indexing.
-  SolverPrecision precision = SolverPrecision::Double;
 };
 
 struct CgResult {
@@ -47,20 +40,12 @@ struct CgResult {
   bool breakdown = false;
   PreconditionerKind preconditioner = PreconditionerKind::Jacobi;
   /// Relative residual after each accepted iteration (telemetry; filled
-  /// when CgOptions::record_residual_history).  The Mixed path records
-  /// one entry per refinement pass (the true double-precision residual)
-  /// instead of per inner iteration.
+  /// when CgOptions::record_residual_history).
   std::vector<double> residual_history;
   double precond_setup_seconds = 0.0;  // factory time (0 when injected)
   double precond_apply_seconds = 0.0;  // summed M⁻¹ applications
-  /// Which arithmetic actually ran (Mixed downgrades to Double past u32).
-  SolverPrecision precision = SolverPrecision::Double;
-  /// Iterative-refinement outer passes completed (0 on the Double path).
-  std::size_t refinement_steps = 0;
-  /// Deterministic SpMV work counts: products of A (any precision) with a
-  /// vector, and the bytes those products streamed (bytes_per_spmv sums).
-  /// These — not timings — back the mixed-precision byte-traffic gates on
-  /// the 1-core CI host.
+  /// Deterministic SpMV work counts: products of A with a vector, and the
+  /// bytes those products streamed (bytes_per_spmv sums).
   std::size_t spmv_count = 0;
   std::size_t spmv_bytes = 0;
   double spmv_seconds = 0.0;  // wall time inside those products

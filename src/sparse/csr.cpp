@@ -111,49 +111,4 @@ double CsrMatrix::symmetry_error() const {
   return worst;
 }
 
-CsrMatrixF32::CsrMatrixF32(const CsrMatrix& a) {
-  n_ = a.dim();
-  constexpr std::size_t kMax = 0xFFFFFFFFull;
-  if (a.dim() >= kMax || a.nnz() >= kMax)
-    throw std::invalid_argument(
-        "CsrMatrixF32: dimension or nnz exceeds u32 index range");
-  row_ptr_.assign(a.row_ptr().begin(), a.row_ptr().end());
-  col_idx_.assign(a.col_idx().begin(), a.col_idx().end());
-  vals_.assign(a.values().begin(), a.values().end());
-}
-
-void CsrMatrixF32::refresh_values(const CsrMatrix& a) {
-  if (a.nnz() != vals_.size() || a.dim() != n_)
-    throw std::invalid_argument("CsrMatrixF32::refresh_values: pattern size");
-  vals_.assign(a.values().begin(), a.values().end());
-}
-
-void CsrMatrixF32::multiply(const std::vector<double>& x,
-                            std::vector<double>& y) const {
-  if (x.size() != n_)
-    throw std::invalid_argument("CsrMatrixF32::multiply: size");
-  y.assign(n_, 0.0);
-  // Same disjoint-row contract as CsrMatrix::multiply: each stored f32
-  // value is widened to double before the multiply-add, so the per-row
-  // accumulation is exact double arithmetic over demoted inputs.
-  const std::size_t avg_nnz = vals_.size() / (n_ ? n_ : 1);
-  runtime::parallel_for(
-      0, n_, runtime::grain_for_cost(2 * (avg_nnz + 1)),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          double acc = 0.0;
-          for (std::uint32_t k = row_ptr_[r]; k < row_ptr_[r + 1]; ++k)
-            acc += static_cast<double>(vals_[k]) * x[col_idx_[k]];
-          y[r] = acc;
-        }
-      });
-}
-
-std::size_t CsrMatrixF32::bytes_per_spmv() const {
-  return vals_.size() * sizeof(float) +
-         col_idx_.size() * sizeof(std::uint32_t) +
-         row_ptr_.size() * sizeof(std::uint32_t) +
-         2 * n_ * sizeof(double);
-}
-
 }  // namespace lmmir::sparse

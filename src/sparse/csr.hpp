@@ -4,7 +4,6 @@
 // row, so a COO builder + CSR storage + CG solver covers everything the
 // library needs without external dependencies.
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace lmmir::sparse {
@@ -69,9 +68,8 @@ class CsrMatrix {
   /// Max |A - Aᵀ| entry; 0 for exactly symmetric matrices.
   double symmetry_error() const;
 
-  /// Bytes streamed by one multiply(): values + indices + x + y.  The
-  /// deterministic work-count behind the mixed-precision byte-traffic
-  /// gates (bench_solver_convergence) — no timing involved.
+  /// Bytes streamed by one multiply(): values + indices + x + y (the
+  /// deterministic work count behind CgResult::spmv_bytes).
   std::size_t bytes_per_spmv() const;
 
  private:
@@ -79,40 +77,6 @@ class CsrMatrix {
   std::vector<std::size_t> row_ptr_;  // n+1
   std::vector<std::size_t> col_idx_;  // nnz (sorted per row)
   std::vector<double> vals_;          // nnz
-};
-
-/// Float-storage mirror of a CsrMatrix for the mixed-precision PCG path
-/// (sparse/precision.hpp): values demoted to f32 and indices to u32, so
-/// one SpMV streams roughly half the bytes of the double matrix.  The
-/// accumulation stays double — each stored value is widened before the
-/// multiply-add — and rows are written disjointly with serial per-row
-/// arithmetic, so results are bitwise-identical for any thread count
-/// (same contract as CsrMatrix::multiply).  Construction requires
-/// dim and nnz to fit u32 (throws std::invalid_argument otherwise);
-/// at 4B unknowns the double path is the only option anyway.
-class CsrMatrixF32 {
- public:
-  CsrMatrixF32() = default;
-  explicit CsrMatrixF32(const CsrMatrix& a);
-
-  std::size_t dim() const { return n_; }
-  std::size_t nnz() const { return vals_.size(); }
-
-  /// y = A32 * x with double accumulation.
-  void multiply(const std::vector<double>& x, std::vector<double>& y) const;
-
-  /// Re-demote values from `a` on the SAME sparsity pattern (numeric
-  /// refresh; pattern mismatch is the caller's bug).
-  void refresh_values(const CsrMatrix& a);
-
-  /// Bytes streamed by one multiply() (f32 values, u32 indices, f64 x/y).
-  std::size_t bytes_per_spmv() const;
-
- private:
-  std::size_t n_ = 0;
-  std::vector<std::uint32_t> row_ptr_;  // n+1
-  std::vector<std::uint32_t> col_idx_;  // nnz (sorted per row)
-  std::vector<float> vals_;             // nnz
 };
 
 }  // namespace lmmir::sparse

@@ -8,8 +8,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/parallel_for.hpp"
-#include "sparse/amg.hpp"
-#include "sparse/schwarz.hpp"
 #include "sparse/trisolve.hpp"
 #include "util/log.hpp"
 
@@ -19,10 +17,7 @@ const char* to_string(PreconditionerKind kind) {
   switch (kind) {
     case PreconditionerKind::None: return "none";
     case PreconditionerKind::Jacobi: return "jacobi";
-    case PreconditionerKind::Ssor: return "ssor";
     case PreconditionerKind::Ic0: return "ic0";
-    case PreconditionerKind::Amg: return "amg";
-    case PreconditionerKind::Schwarz: return "dd";
   }
   return "unknown";
 }
@@ -33,12 +28,7 @@ std::optional<PreconditionerKind> preconditioner_kind_from_string(
   for (auto& c : k) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   if (k == "none" || k == "identity") return PreconditionerKind::None;
   if (k == "jacobi" || k == "diag") return PreconditionerKind::Jacobi;
-  if (k == "ssor") return PreconditionerKind::Ssor;
   if (k == "ic0" || k == "ic" || k == "ichol") return PreconditionerKind::Ic0;
-  if (k == "amg" || k == "multigrid" || k == "sa")
-    return PreconditionerKind::Amg;
-  if (k == "dd" || k == "schwarz" || k == "block_jacobi")
-    return PreconditionerKind::Schwarz;
   return std::nullopt;
 }
 
@@ -47,7 +37,7 @@ PreconditionerKind preconditioner_kind_from_env(PreconditionerKind fallback) {
   if (!v) return fallback;
   if (const auto kind = preconditioner_kind_from_string(v)) return *kind;
   util::log_warn("ignoring malformed LMMIR_PRECOND='", v,
-                 "' (want none|jacobi|ssor|ic0|amg|dd)");
+                 "' (want none|jacobi|ic0)");
   return fallback;
 }
 
@@ -72,111 +62,16 @@ class JacobiPreconditioner final : public Preconditioner {
              std::vector<double>& z) const override {
     z.resize(r.size());
     // Elementwise scale: disjoint writes, bitwise-identical for any thread
-    // count.  Demoted mode reads the f32 diagonal (half the stream) and
-    // widens per element; the product stays double.
-    if (!inv_diag_f32_.empty()) {
-      runtime::parallel_for(
-          0, r.size(), runtime::grain_for_cost(1),
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i)
-              z[i] = static_cast<double>(inv_diag_f32_[i]) * r[i];
-          });
-      return;
-    }
+    // count.
     runtime::parallel_for(0, r.size(), runtime::grain_for_cost(1),
                           [&](std::size_t lo, std::size_t hi) {
                             for (std::size_t i = lo; i < hi; ++i)
                               z[i] = inv_diag_[i] * r[i];
                           });
   }
-  bool demote_storage() override {
-    if (inv_diag_f32_.empty())
-      inv_diag_f32_.assign(inv_diag_.begin(), inv_diag_.end());
-    return true;
-  }
-  bool refresh(const CsrMatrix& a) override {
-    inv_diag_ = a.diagonal();
-    for (auto& d : inv_diag_) d = (d != 0.0) ? 1.0 / d : 1.0;
-    if (!inv_diag_f32_.empty())
-      inv_diag_f32_.assign(inv_diag_.begin(), inv_diag_.end());
-    return true;
-  }
 
  private:
   std::vector<double> inv_diag_;
-  std::vector<float> inv_diag_f32_;  // demoted mirror (mixed precision)
-};
-
-/// Symmetric Gauss-Seidel / SSOR sweep,
-///   M = (1/(ω(2-ω))) (D + ωL) D⁻¹ (D + ωU),
-/// so z = M⁻¹r = ω(2-ω) (D + ωU)⁻¹ D (D + ωL)⁻¹ r: a forward solve, a
-/// diagonal scale, and a backward solve over the matrix rows.  Both
-/// triangular sweeps are level-scheduled (trisolve.hpp): rows of one
-/// dependency wavefront solve concurrently, each with the exact serial
-/// per-row arithmetic, so results stay bitwise-identical for any runtime
-/// thread count.  Holds a reference to the matrix: no extra storage.
-class SsorPreconditioner final : public Preconditioner {
- public:
-  explicit SsorPreconditioner(const CsrMatrix& a, double omega = 1.0)
-      : a_(a),
-        omega_(omega),
-        diag_(a.diagonal()),
-        forward_(LevelSchedule::lower(a.row_ptr(), a.col_idx(), a.dim())),
-        backward_(LevelSchedule::upper(a.row_ptr(), a.col_idx(), a.dim())) {
-    if (!(omega > 0.0) || !(omega < 2.0))
-      throw std::invalid_argument("SsorPreconditioner: omega must be in (0,2)");
-    for (auto& d : diag_)
-      if (d == 0.0) d = 1.0;  // empty row: act as identity there
-  }
-  PreconditionerKind kind() const override { return PreconditionerKind::Ssor; }
-
-  void apply(const std::vector<double>& r,
-             std::vector<double>& z) const override {
-    const std::size_t n = a_.dim();
-    const auto& row_ptr = a_.row_ptr();
-    const auto& col_idx = a_.col_idx();
-    const auto& vals = a_.values();
-    const std::size_t row_cost = 2 * (a_.nnz() / (n ? n : 1) + 1);
-    work_.resize(n);
-    z.resize(n);
-    // Forward: (D + ωL) y = r, strictly-lower entries come first in each
-    // sorted row.
-    for_each_level(forward_, row_cost, [&](std::size_t i) {
-      double s = r[i];
-      for (std::size_t k = row_ptr[i]; k < row_ptr[i + 1]; ++k) {
-        const std::size_t j = col_idx[k];
-        if (j >= i) break;
-        s -= omega_ * vals[k] * work_[j];
-      }
-      work_[i] = s / diag_[i];
-    });
-    // Scale by ω(2-ω) · D (the D⁻¹ middle factor combined with the
-    // 1/(ω(2-ω)) normalization).  Elementwise: disjoint writes.
-    const double scale = omega_ * (2.0 - omega_);
-    runtime::parallel_for(0, n, runtime::grain_for_cost(2),
-                          [&](std::size_t lo, std::size_t hi) {
-                            for (std::size_t i = lo; i < hi; ++i)
-                              work_[i] *= scale * diag_[i];
-                          });
-    // Backward: (D + ωU) z = work, strictly-upper entries trail the row.
-    for_each_level(backward_, row_cost, [&](std::size_t ii) {
-      double s = work_[ii];
-      for (std::size_t k = row_ptr[ii + 1]; k-- > row_ptr[ii];) {
-        const std::size_t j = col_idx[k];
-        if (j <= ii) break;
-        s -= omega_ * vals[k] * z[j];
-      }
-      z[ii] = s / diag_[ii];
-    });
-  }
-
- private:
-  const CsrMatrix& a_;
-  double omega_;                      // ω=1 from the factory: symmetric GS
-  std::vector<double> diag_;          // zero-diagonal rows patched to 1
-  LevelSchedule forward_;             // wavefronts of the (D+ωL) solve
-  LevelSchedule backward_;            // wavefronts of the (D+ωU) solve
-  mutable std::vector<double> work_;  // forward-sweep intermediate
 };
 
 /// Incomplete Cholesky with zero fill-in: L has exactly the lower-triangle
@@ -337,14 +232,8 @@ std::unique_ptr<Preconditioner> make_preconditioner(PreconditionerKind kind,
       return std::make_unique<IdentityPreconditioner>();
     case PreconditionerKind::Jacobi:
       return std::make_unique<JacobiPreconditioner>(a);
-    case PreconditionerKind::Ssor:
-      return std::make_unique<SsorPreconditioner>(a);
     case PreconditionerKind::Ic0:
       return std::make_unique<Ic0Preconditioner>(a);
-    case PreconditionerKind::Amg:
-      return std::make_unique<AmgPreconditioner>(a);
-    case PreconditionerKind::Schwarz:
-      return std::make_unique<SchwarzPreconditioner>(a);
   }
   throw std::invalid_argument("make_preconditioner: unknown kind");
 }

@@ -7,30 +7,24 @@
 //
 //   None    — identity; pure CG, the iteration-count baseline.
 //   Jacobi  — diagonal scaling; O(n) setup, embarrassingly parallel apply,
-//             effective on diagonally dominant PDN meshes.
-//   SSOR    — symmetric successive over-relaxation sweep; no extra storage
-//             beyond the matrix, roughly halves iterations on grids.
+//             effective on diagonally dominant PDN meshes; the default,
+//             and the fastest kind on wall time on large systems
+//             (docs/SOLVER.md has the measured crossover).
 //   IC0     — incomplete Cholesky with zero fill-in; strongest
-//             single-level iteration reduction, triangular-solve apply.
-//   AMG     — smoothed-aggregation algebraic multigrid V-cycle
-//             (sparse/amg.hpp); near-grid-independent iteration counts,
-//             the million-node-regime preconditioner.
-//   Schwarz — overlapping additive Schwarz over contiguous index tiles
-//             with per-subdomain IC(0) solves (sparse/schwarz.hpp); turns
-//             thread count into solver speedup on one solve.
+//             iteration reduction, triangular-solve apply; fastest on
+//             wall time on small systems.
 //
-// The SSOR and IC(0) triangular sweeps are level-scheduled (see
+// The IC(0) triangular sweeps are level-scheduled (see
 // sparse/trisolve.hpp): rows are grouped into dependency wavefronts so the
 // apply fans out over the runtime thread pool while staying
 // bitwise-identical for any thread count.
 //
 // Setup happens in the factory.  Instances are immutable after
 // construction but apply() reuses an internal scratch buffer, so use one
-// instance per concurrently-running solve.  SSOR references the matrix it
-// was built from (no copy); the matrix must outlive the preconditioner.
-// Because SSOR reads the matrix on every apply, an in-place numeric
-// refresh of the matrix values (pdn::SolverContext) requires rebuilding
-// the SSOR instance; IC(0) copies its factor and stays self-contained.
+// instance per concurrently-running solve.  Every kind copies what it
+// needs from the matrix, so an in-place numeric refresh of the matrix
+// values (pdn::SolverContext) leaves a built instance self-contained but
+// stale: rebuild it through the factory.
 #include <cstddef>
 #include <memory>
 #include <optional>
@@ -42,10 +36,9 @@
 
 namespace lmmir::sparse {
 
-enum class PreconditionerKind { None, Jacobi, Ssor, Ic0, Amg, Schwarz };
+enum class PreconditionerKind { None, Jacobi, Ic0 };
 
-/// Canonical lower-case key ("none", "jacobi", "ssor", "ic0", "amg",
-/// "dd").
+/// Canonical lower-case key ("none", "jacobi", "ic0").
 const char* to_string(PreconditionerKind kind);
 
 /// Parse a factory key (case-insensitive); nullopt for unknown keys.
@@ -70,28 +63,6 @@ class Preconditioner {
   virtual void apply(const std::vector<double>& r,
                      std::vector<double>& z) const = 0;
   const char* name() const { return to_string(kind()); }
-
-  /// Numeric refresh: re-derive the factored state from `a`, which must
-  /// have the SAME sparsity pattern the instance was built from (new
-  /// values only — the pdn::SolverContext in-place value update).
-  /// Returns false when the kind has no cheaper-than-rebuild path (the
-  /// default); the caller then rebuilds via the factory.  Kinds that
-  /// return true (AMG: aggregates and transfer patterns kept; Schwarz:
-  /// tile partition and extraction plans kept) skip their symbolic setup
-  /// and refactor numerics only.
-  virtual bool refresh(const CsrMatrix& a) {
-    (void)a;
-    return false;
-  }
-
-  /// Demote internal storage to f32 where the kind supports it (the
-  /// mixed-precision path, sparse/precision.hpp): Jacobi stores a float
-  /// inverse diagonal, AMG mirrors its level operators as CsrMatrixF32.
-  /// Recurrences stay double either way.  Returns false when the kind
-  /// keeps full double storage (SSOR, IC0, Schwarz: their triangular
-  /// sweeps carry loop dependences where f32 storage was not worth the
-  /// extra rounding).  Idempotent.
-  virtual bool demote_storage() { return false; }
 };
 
 /// Build a preconditioner for SPD matrix `a`.  IC0 retries with a scaled

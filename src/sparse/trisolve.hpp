@@ -2,8 +2,8 @@
 // Level-scheduled sparse triangular solves.
 //
 // A triangular solve carries a loop dependence (row i needs the results of
-// the rows its off-diagonal entries reference), which is why the SSOR and
-// IC(0) preconditioner applies were serial.  Level scheduling recovers the
+// the rows its off-diagonal entries reference), which is why the IC(0)
+// preconditioner apply used to be serial.  Level scheduling recovers the
 // parallelism that IS there: rows are grouped into "levels" such that every
 // dependency of a row lives in a strictly earlier level, so all rows of one
 // level can be solved concurrently with a barrier between levels.  On

@@ -105,8 +105,7 @@ TEST(SolverGolden, PreconditionerChoiceDoesNotChangeGroundTruth) {
   const pdn::Circuit circuit(nl);
   const auto ref = pdn::solve_ir_drop(circuit);
   for (const auto kind :
-       {sparse::PreconditionerKind::None, sparse::PreconditionerKind::Ssor,
-        sparse::PreconditionerKind::Ic0}) {
+       {sparse::PreconditionerKind::None, sparse::PreconditionerKind::Ic0}) {
     pdn::SolveOptions opts;
     opts.cg.preconditioner = kind;
     const auto sol = pdn::solve_ir_drop(circuit, opts);

@@ -222,6 +222,10 @@ TEST(Cg, RecordsResidualHistory) {
   ASSERT_EQ(res.residual_history.size(), res.iterations);
   EXPECT_DOUBLE_EQ(res.residual_history.back(), res.residual);
   EXPECT_LT(res.residual_history.back(), CgOptions{}.tolerance);
+  // One SpMV per iteration on a cold start, each streaming the matrix's
+  // deterministic byte count.
+  EXPECT_EQ(res.spmv_count, res.iterations);
+  EXPECT_EQ(res.spmv_bytes, res.spmv_count * m.bytes_per_spmv());
 }
 
 TEST(Cg, WarmStartFromExactSolutionTakesZeroIterations) {
